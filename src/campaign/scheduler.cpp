@@ -399,11 +399,13 @@ CampaignResult CampaignScheduler::run(
     // single-threaded but reuses the same counters.
     std::atomic<std::uint64_t> executed_pairs{0};
     std::atomic<std::uint64_t> pruned_pairs{0};
+    std::atomic<std::uint64_t> decided_pairs{0};
     std::atomic<std::uint64_t> memoized_pairs{0};
     std::atomic<std::uint64_t> memoized_calls{0};
     const auto add_pair_stats = [&](const mutation::PruneStats& s) {
         executed_pairs.fetch_add(s.executed_pairs, std::memory_order_relaxed);
         pruned_pairs.fetch_add(s.pruned_pairs, std::memory_order_relaxed);
+        decided_pairs.fetch_add(s.decided_pairs, std::memory_order_relaxed);
         memoized_pairs.fetch_add(s.memoized_pairs, std::memory_order_relaxed);
         memoized_calls.fetch_add(s.memoized_calls, std::memory_order_relaxed);
     };
@@ -411,6 +413,7 @@ CampaignResult CampaignScheduler::run(
         out.stats.pruned = prune_engaged;
         out.stats.executed_pairs = executed_pairs.load();
         out.stats.pruned_pairs = pruned_pairs.load();
+        out.stats.decided_pairs = decided_pairs.load();
         out.stats.memoized_pairs = memoized_pairs.load();
         out.stats.memoized_calls = memoized_calls.load();
         if (prune_engaged) {
@@ -418,6 +421,8 @@ CampaignResult CampaignScheduler::run(
                                      out.stats.executed_pairs);
             options_.obs.metrics.add("campaign.pruned_pairs",
                                      out.stats.pruned_pairs);
+            options_.obs.metrics.add("campaign.decided_pairs",
+                                     out.stats.decided_pairs);
             options_.obs.metrics.add("campaign.memoized_pairs",
                                      out.stats.memoized_pairs);
             options_.obs.metrics.add("campaign.memoized_calls",
@@ -527,6 +532,7 @@ CampaignResult CampaignScheduler::run(
             if (prune_engaged) {
                 finish.set("executed_pairs", item_stats.executed_pairs)
                     .set("pruned_pairs", item_stats.pruned_pairs)
+                    .set("decided_pairs", item_stats.decided_pairs)
                     .set("memoized_pairs", item_stats.memoized_pairs);
             }
             if (!outcome.sandbox.empty()) {
@@ -587,6 +593,7 @@ CampaignResult CampaignScheduler::run(
                        .set("pruned", out.stats.pruned)
                        .set("executed_pairs", out.stats.executed_pairs)
                        .set("pruned_pairs", out.stats.pruned_pairs)
+                       .set("decided_pairs", out.stats.decided_pairs)
                        .set("memoized_pairs", out.stats.memoized_pairs)
                        .set("memoized_calls", out.stats.memoized_calls)
                        .set("wall_ms", out.stats.wall_ms));
@@ -639,6 +646,7 @@ CampaignResult CampaignScheduler::run(
             if (prune_engaged) {
                 finish.set("executed_pairs", item_stats.executed_pairs)
                     .set("pruned_pairs", item_stats.pruned_pairs)
+                    .set("decided_pairs", item_stats.decided_pairs)
                     .set("memoized_pairs", item_stats.memoized_pairs);
             }
             trace.emit(finish);
@@ -700,6 +708,7 @@ CampaignResult CampaignScheduler::run(
                    .set("pruned", out.stats.pruned)
                    .set("executed_pairs", out.stats.executed_pairs)
                    .set("pruned_pairs", out.stats.pruned_pairs)
+                   .set("decided_pairs", out.stats.decided_pairs)
                    .set("memoized_pairs", out.stats.memoized_pairs)
                    .set("memoized_calls", out.stats.memoized_calls)
                    .set("wall_ms", out.stats.wall_ms));

@@ -9,8 +9,16 @@ using reflect::Args;
 using tspec::MethodCategory;
 
 CObject* ElementPool::make(int value) {
-    elements_.push_back(std::make_unique<CInt>(value));
-    return elements_.back().get();
+    auto element = std::make_unique<CInt>(value);
+    CObject* out = element.get();
+    const std::lock_guard<std::mutex> lock(mutex_);
+    elements_.push_back(std::move(element));
+    return out;
+}
+
+std::size_t ElementPool::size() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return elements_.size();
 }
 
 driver::CompletionRegistry::Completion ElementPool::completion(int lo, int hi) {

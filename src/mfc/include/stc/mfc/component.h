@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "stc/driver/generator.h"
@@ -21,18 +22,22 @@ namespace stc::mfc {
 /// Elements live as long as the pool: generated test suites hold
 /// pointers to them across (many) mutation runs, and CObList never owns
 /// its elements (MFC semantics), so nothing else may delete them.
+/// make() and size() are thread-safe: campaign workers draw elements
+/// through one shared completion (e.g. while shrinking kills), and an
+/// element's address never moves once made.
 class ElementPool {
 public:
     /// Create (and own) a new element with the given value.
     CObject* make(int value);
 
-    [[nodiscard]] std::size_t size() const noexcept { return elements_.size(); }
+    [[nodiscard]] std::size_t size() const;
 
     /// A completion hook for t-spec 'CObject' pointer parameters: yields
     /// pool elements with values drawn uniformly from [lo, hi].
     [[nodiscard]] driver::CompletionRegistry::Completion completion(int lo, int hi);
 
 private:
+    mutable std::mutex mutex_;
     std::vector<std::unique_ptr<CInt>> elements_;
 };
 

@@ -72,9 +72,9 @@ private:
     friend class CoverageRecorder;
     std::vector<CaseCoverage> cases_;
     /// case id -> index into cases_ (first occurrence wins, matching the
-    /// scan order find() promises).  The index is consulted once per
-    /// (mutant, case) pair on the campaign hot path, so lookups must not
-    /// scan cases_ linearly.
+    /// scan order find() promises).  stc::kill consults it per candidate
+    /// and a prune plan once per case, so lookups must not scan cases_
+    /// linearly.
     std::unordered_map<std::string, std::size_t> by_id_;
 };
 

@@ -22,9 +22,17 @@
 // reject a byte-identical Pass report), so the campaign scheduler keeps
 // pruning off whenever one is configured; a lockstep model only gates
 // the memoization half (resumed suffixes skip model comparison).
+//
+// The evaluator also stops as soon as a mutant's verdict is decided: it
+// classifies each covering case as it finishes (oracle::KillFold) and
+// stops the suite once both oracle legs hold Crash, which nothing
+// outranks, and the probe at its first kill, since only "killed or not"
+// is read from it.  Every covering case consults the mutant's site, so
+// the first one executed already settles hit tracking.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "stc/mutation/coverage.h"
@@ -35,7 +43,11 @@ namespace stc::mutation {
 /// Version of the pruned execution tier, absorbed into the campaign
 /// store fingerprint (as "prune-index-v1") when pruning is engaged so a
 /// resumed store never mixes fates produced under different pruning
-/// semantics.  Bump on any change to the skip/memoize rules.
+/// semantics.  Bump on any change to the skip/memoize rules that can
+/// change a stored record.  The decide-and-stop cutoff did not bump it:
+/// it skips only cases that cannot change fate, reason, hit, model_only
+/// or probe_kill, so stores written before and after it are
+/// interchangeable, and a bump would invalidate them for nothing.
 inline constexpr std::uint64_t kPruneIndexVersion = 1;
 inline constexpr const char* kPruneIndexToken = "prune-index-v1";
 
@@ -45,30 +57,63 @@ struct CasePlan {
     std::vector<driver::CaseCheckpoint> checkpoints;
 };
 
+/// One case that reaches a site: its position in the suite and the
+/// call during which the golden run first consulted the site.
+struct SitePosting {
+    std::uint32_t case_index = 0;
+    std::uint32_t first_hit = 0;
+};
+
+/// A CoverageIndex inverted once per plan: site -> the cases reaching
+/// it, ascending by suite index, so the evaluator finds a mutant's
+/// covering cases with one lookup instead of one per case.
+class SitePostings {
+public:
+    SitePostings() = default;
+    SitePostings(const CoverageIndex& coverage, const driver::TestSuite& suite);
+
+    /// Covering cases of the mutant's site; empty when none reaches it.
+    [[nodiscard]] const std::vector<SitePosting>& of(const Mutant& mutant) const;
+    /// Number of cases of the suite the postings were built for.
+    [[nodiscard]] std::size_t case_count() const noexcept { return cases_; }
+
+private:
+    std::map<CoverageIndex::SiteKey, std::vector<SitePosting>> by_site_;
+    std::size_t cases_ = 0;
+};
+
 /// Everything the pruned evaluator needs besides the golden records:
-/// coverage indices for suite and probe, and the shared-prefix
-/// checkpoint ladders (index-aligned with the respective case lists).
-/// Built once, before the parallel phase, on the un-mutated component;
-/// read-only afterwards (checkpoint prototypes are cloned, never
-/// mutated, so concurrent evaluation and copy-on-write fork inheritance
-/// under --isolate are both safe).
+/// coverage indices for suite and probe, their site postings, and the
+/// shared-prefix checkpoint ladders (index-aligned with the respective
+/// case lists).  Built once, before the parallel phase, on the
+/// un-mutated component; read-only afterwards (checkpoint prototypes are
+/// cloned, never mutated, so concurrent evaluation and copy-on-write
+/// fork inheritance under --isolate are both safe).
 struct PrunePlan {
     CoverageIndex coverage;
     CoverageIndex probe_coverage;
+    SitePostings postings;
+    SitePostings probe_postings;
     std::vector<CasePlan> case_plans;
     std::vector<CasePlan> probe_case_plans;
 };
 
 /// Work avoided/performed by one (or many summed) pruned evaluations.
+/// Every suite (mutant, case) pair lands in exactly one of executed,
+/// pruned and decided; so does every probe pair of a mutant the suite
+/// left alive (the probe does not run for a killed mutant).
 struct PruneStats {
     std::uint64_t executed_pairs = 0;  ///< (mutant, case) pairs actually run
     std::uint64_t pruned_pairs = 0;    ///< pairs skipped as provably unreached
+    std::uint64_t decided_pairs = 0;   ///< covering pairs skipped once the
+                                       ///< verdict was decided
     std::uint64_t memoized_pairs = 0;  ///< executed pairs resumed mid-case
     std::uint64_t memoized_calls = 0;  ///< body calls those resumes skipped
 
     PruneStats& operator+=(const PruneStats& other) noexcept {
         executed_pairs += other.executed_pairs;
         pruned_pairs += other.pruned_pairs;
+        decided_pairs += other.decided_pairs;
         memoized_pairs += other.memoized_pairs;
         memoized_calls += other.memoized_calls;
         return *this;
@@ -102,11 +147,13 @@ struct PrunePlanOptions {
 
 /// Drop-in replacement for evaluate_mutant: identical fates (the
 /// differential harness in tests/prune_test.cpp is the net), ~an order
-/// of magnitude less execution.  `probe_runner`/`probe_suite` may be
-/// null (no equivalence probing).  `options.manual_oracle` must be
-/// empty — callers gate pruning off instead.  Thread-safe under the
-/// same conditions as evaluate_mutant; `stats`, when given, is summed
-/// into without synchronisation (use one per worker).
+/// of magnitude less execution.  `suite`, `golden`, `probe_suite` and
+/// `probe_golden` must be the ones `plan` was built from.
+/// `probe_runner`/`probe_suite` may be null (no equivalence probing).
+/// `options.manual_oracle` must be empty — callers gate pruning off
+/// instead.  Thread-safe under the same conditions as evaluate_mutant;
+/// `stats`, when given, is summed into without synchronisation (use one
+/// per worker).
 [[nodiscard]] MutantOutcome evaluate_mutant_pruned(
     const Mutant& mutant, const driver::TestRunner& runner,
     const reflect::ClassBinding& binding, const driver::TestSuite& suite,

@@ -99,22 +99,15 @@ std::vector<CasePlan> build_ladders(
 /// Run one covering case, resumed from the deepest usable checkpoint.
 driver::TestResult run_one(const driver::TestRunner& runner,
                            const reflect::ClassBinding& binding,
-                           const driver::TestCase& tc,
-                           const CoverageIndex& coverage,
-                           const std::vector<CasePlan>& plans, std::size_t index,
-                           const Mutant& mutant, PruneStats& stats) {
+                           const driver::TestCase& tc, const CasePlan& plan,
+                           std::size_t first_hit, PruneStats& stats) {
     ++stats.executed_pairs;
+    // Sound resume depth: at or before the first call that consults the
+    // mutant's site (execution is un-mutated until then).
     const driver::CaseCheckpoint* best = nullptr;
-    if (index < plans.size()) {
-        // Sound resume depth: at or before the first call that consults
-        // the mutant's site (execution is un-mutated until then).
-        const std::optional<std::size_t> bound = coverage.first_hit(tc.id, mutant);
-        if (bound.has_value()) {
-            for (const driver::CaseCheckpoint& cp : plans[index].checkpoints) {
-                if (cp.resume_call > *bound) break;
-                best = &cp;
-            }
-        }
+    for (const driver::CaseCheckpoint& cp : plan.checkpoints) {
+        if (cp.resume_call > first_hit) break;
+        best = &cp;
     }
     if (best != nullptr) {
         try {
@@ -129,17 +122,60 @@ driver::TestResult run_one(const driver::TestRunner& runner,
     return runner.run_case(binding, tc);
 }
 
-std::vector<std::size_t> covering_indices(const CoverageIndex& coverage,
-                                          const driver::TestSuite& suite,
-                                          const Mutant& mutant) {
-    std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < suite.cases.size(); ++i) {
-        if (coverage.covers(suite.cases[i].id, mutant)) out.push_back(i);
+/// Run the covering cases in suite order, folding each result into
+/// `fold` as it finishes, until the fold is decided — or, with
+/// `stop_at_kill`, until anything kills.  Covering cases left unrun
+/// count as decided pairs.
+void run_covering(const driver::TestRunner& runner,
+                  const reflect::ClassBinding& binding,
+                  const driver::TestSuite& suite,
+                  const oracle::GoldenRecord& golden,
+                  const std::vector<SitePosting>& covering,
+                  const std::vector<CasePlan>& plans, bool stop_at_kill,
+                  const obs::Context& obs, oracle::KillFold& fold,
+                  PruneStats& stats) {
+    std::size_t ran = 0;
+    for (const SitePosting& posting : covering) {
+        const driver::TestResult result =
+            run_one(runner, binding, suite.cases[posting.case_index],
+                    plans[posting.case_index], posting.first_hit, stats);
+        ++ran;
+        const oracle::GoldenEntry* entry =
+            golden.find(posting.case_index, result.case_id);
+        if (entry == nullptr) continue;  // new case: nothing to compare against
+        const obs::SpanScope span(obs.tracer, "oracle-compare", "classify-case");
+        const bool decided = fold.add(*entry, result);
+        if (decided ||
+            (stop_at_kill && fold.kill().with_model != oracle::KillReason::None)) {
+            break;
+        }
     }
-    return out;
+    stats.decided_pairs += covering.size() - ran;
 }
 
 }  // namespace
+
+SitePostings::SitePostings(const CoverageIndex& coverage,
+                           const driver::TestSuite& suite)
+    : cases_(suite.cases.size()) {
+    for (std::size_t i = 0; i < suite.cases.size(); ++i) {
+        const CoverageIndex::CaseCoverage* cc = coverage.find(suite.cases[i].id);
+        if (cc == nullptr) continue;
+        for (const auto& [key, call_index] : cc->first_hit) {
+            by_site_[key].push_back(
+                SitePosting{static_cast<std::uint32_t>(i),
+                            static_cast<std::uint32_t>(call_index)});
+        }
+    }
+    for (auto& [key, postings] : by_site_) postings.shrink_to_fit();
+}
+
+const std::vector<SitePosting>& SitePostings::of(const Mutant& mutant) const {
+    static const std::vector<SitePosting> kNone;
+    const auto it = by_site_.find(CoverageIndex::SiteKey{mutant.method,
+                                                         mutant.site_index});
+    return it != by_site_.end() ? it->second : kNone;
+}
 
 PrunePlan build_prune_plan(const driver::TestRunner& runner,
                            const reflect::ClassBinding& binding,
@@ -151,8 +187,10 @@ PrunePlan build_prune_plan(const driver::TestRunner& runner,
     PrunePlan plan;
     plan.coverage = std::move(coverage);
     plan.probe_coverage = std::move(probe_coverage);
+    plan.postings = SitePostings(plan.coverage, suite);
     plan.case_plans.resize(suite.cases.size());
     if (probe_suite != nullptr) {
+        plan.probe_postings = SitePostings(plan.probe_coverage, *probe_suite);
         plan.probe_case_plans.resize(probe_suite->cases.size());
     }
     if (!options.memoize || !binding.has_cloner()) return plan;
@@ -181,6 +219,12 @@ MutantOutcome evaluate_mutant_pruned(
         throw ContractError(
             "pruned evaluation cannot honour a manual oracle; run unpruned");
     }
+    if (plan.postings.case_count() != suite.cases.size() ||
+        (probe_suite != nullptr &&
+         plan.probe_postings.case_count() != probe_suite->cases.size())) {
+        throw ContractError("prune plan was built for a different suite");
+    }
+
     auto& controller = MutationController::instance();
 
     using ObsClock = std::chrono::steady_clock;
@@ -204,27 +248,19 @@ MutantOutcome evaluate_mutant_pruned(
     MutantOutcome outcome;
     outcome.mutant = &mutant;
 
-    const std::vector<std::size_t> covering =
-        covering_indices(plan.coverage, suite, mutant);
+    const std::vector<SitePosting>& covering = plan.postings.of(mutant);
     local.pruned_pairs +=
         static_cast<std::uint64_t>(suite.cases.size() - covering.size());
 
     if (!covering.empty()) {
         const MutantActivation activation(mutant);
-        driver::SuiteResult mutated;
-        mutated.results.reserve(covering.size());
-        for (const std::size_t index : covering) {
-            mutated.results.push_back(run_one(runner, binding,
-                                              suite.cases[index], plan.coverage,
-                                              plan.case_plans, index, mutant,
-                                              local));
-        }
+        oracle::KillFold fold(options.oracle, nullptr, /*differential=*/true);
+        run_covering(runner, binding, suite, golden, covering, plan.case_plans,
+                     /*stop_at_kill=*/false, options.obs, fold, local);
+        fold.meter(options.obs);
         outcome.hit_by_suite = controller.hit();
-        const oracle::DifferentialKill differential =
-            oracle::classify_suite_differential(golden, mutated, options.oracle,
-                                                {}, options.obs);
-        outcome.reason = differential.with_model;
-        outcome.model_only = differential.model_only();
+        outcome.reason = fold.kill().with_model;
+        outcome.model_only = fold.kill().model_only();
     }
 
     const auto finish = [&](MutantFate fate) {
@@ -243,8 +279,8 @@ MutantOutcome evaluate_mutant_pruned(
                                            : MutantFate::NotCovered);
     }
 
-    const std::vector<std::size_t> probe_covering =
-        covering_indices(plan.probe_coverage, *probe_suite, mutant);
+    const std::vector<SitePosting>& probe_covering =
+        plan.probe_postings.of(mutant);
     local.pruned_pairs += static_cast<std::uint64_t>(probe_suite->cases.size() -
                                                      probe_covering.size());
 
@@ -252,17 +288,15 @@ MutantOutcome evaluate_mutant_pruned(
     oracle::KillReason probe_reason = oracle::KillReason::None;
     if (!probe_covering.empty()) {
         const MutantActivation activation(mutant);
-        driver::SuiteResult probed;
-        probed.results.reserve(probe_covering.size());
-        for (const std::size_t index : probe_covering) {
-            probed.results.push_back(
-                run_one(*probe_runner, binding, probe_suite->cases[index],
-                        plan.probe_coverage, plan.probe_case_plans, index,
-                        mutant, local));
-        }
+        // The probe always uses the full oracle, and only "killed or
+        // not" is read from it: the first kill decides.
+        oracle::KillFold fold;
+        run_covering(*probe_runner, binding, *probe_suite, probe_golden,
+                     probe_covering, plan.probe_case_plans,
+                     /*stop_at_kill=*/true, options.obs, fold, local);
+        fold.meter(options.obs);
         probe_hit = controller.hit();
-        probe_reason =
-            oracle::classify_suite(probe_golden, probed, {}, {}, options.obs);
+        probe_reason = fold.kill().with_model;
     }
 
     if (probe_reason != oracle::KillReason::None) {

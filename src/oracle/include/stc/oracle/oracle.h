@@ -47,6 +47,11 @@ public:
     static GoldenRecord from(const driver::SuiteResult& baseline);
 
     [[nodiscard]] const GoldenEntry* find(const std::string& case_id) const;
+    /// Index-aligned lookup: the entry at `index` when its id matches
+    /// (the record was captured from the same suite, so the i-th result
+    /// belongs to the i-th entry), else the linear find(case_id).
+    [[nodiscard]] const GoldenEntry* find(std::size_t index,
+                                          const std::string& case_id) const;
     [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
     [[nodiscard]] const std::vector<GoldenEntry>& entries() const noexcept {
         return entries_;
@@ -122,17 +127,6 @@ using ManualPredicate =
                                   const OracleConfig& config = {},
                                   const ManualPredicate& manual = {});
 
-/// Compare a whole suite run; returns the first (strongest) kill reason
-/// across cases, in order Crash > Assertion > IllegalQuiescence >
-/// ModelDivergence > OutputDiff > ManualOracle.
-/// The observability context, when enabled, records an "oracle-compare"
-/// span plus oracle.suite_compares / oracle.kill.<reason> counters.
-[[nodiscard]] KillReason classify_suite(const GoldenRecord& golden,
-                                        const driver::SuiteResult& observed,
-                                        const OracleConfig& config = {},
-                                        const ManualPredicate& manual = {},
-                                        const obs::Context& obs = {});
-
 /// One observed run, classified twice: once with the model channel and
 /// once without it, over the SAME SuiteResult (classification is a pure
 /// function of the observation, so no second execution is needed).
@@ -148,6 +142,50 @@ struct DifferentialKill {
                without_model == KillReason::None;
     }
 };
+
+/// Streaming suite classification — the one place kill-reason
+/// precedence (Crash > Assertion > IllegalQuiescence > ModelDivergence >
+/// OutputDiff > ManualOracle) is applied.  Feed (golden entry, observed
+/// result) pairs one case at a time; add() keeps the strongest reason
+/// per leg and returns true once the verdict is decided: every tracked
+/// leg holds Crash, which nothing outranks, so no further case can
+/// change it.  A single-leg fold classifies with `config` as given and
+/// reports in with_model; a differential fold also tracks the leg with
+/// the model channel forced off.  `manual`, when non-null, must outlive
+/// the fold.
+class KillFold {
+public:
+    explicit KillFold(const OracleConfig& config = {},
+                      const ManualPredicate* manual = nullptr,
+                      bool differential = false) noexcept;
+
+    /// Fold one case; true when the verdict is decided.
+    bool add(const GoldenEntry& golden, const driver::TestResult& observed);
+    [[nodiscard]] bool decided() const noexcept;
+    [[nodiscard]] const DifferentialKill& kill() const noexcept { return kill_; }
+
+    /// Record oracle.suite_compares and oracle.kill.<reason> (plus
+    /// oracle.kill.model_only for a differential fold) — one suite
+    /// classification's worth of counters.
+    void meter(const obs::Context& obs) const;
+
+private:
+    OracleConfig config_;
+    const ManualPredicate* manual_ = nullptr;
+    bool differential_ = false;
+    DifferentialKill kill_;
+};
+
+/// Compare a whole suite run; returns the first (strongest) kill reason
+/// across cases, in order Crash > Assertion > IllegalQuiescence >
+/// ModelDivergence > OutputDiff > ManualOracle.
+/// The observability context, when enabled, records an "oracle-compare"
+/// span plus oracle.suite_compares / oracle.kill.<reason> counters.
+[[nodiscard]] KillReason classify_suite(const GoldenRecord& golden,
+                                        const driver::SuiteResult& observed,
+                                        const OracleConfig& config = {},
+                                        const ManualPredicate& manual = {},
+                                        const obs::Context& obs = {});
 
 /// Classify `observed` with `config` as given (model channel per
 /// config.use_model) and again with use_model forced off.

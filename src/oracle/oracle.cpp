@@ -19,6 +19,14 @@ const GoldenEntry* GoldenRecord::find(const std::string& case_id) const {
     return nullptr;
 }
 
+const GoldenEntry* GoldenRecord::find(std::size_t index,
+                                      const std::string& case_id) const {
+    if (index < entries_.size() && entries_[index].case_id == case_id) {
+        return &entries_[index];
+    }
+    return find(case_id);
+}
+
 bool GoldenRecord::all_passed() const noexcept {
     for (const auto& e : entries_) {
         if (e.verdict != driver::Verdict::Pass) return false;
@@ -120,24 +128,71 @@ int strength(KillReason r) noexcept {
 
 }  // namespace
 
+KillFold::KillFold(const OracleConfig& config, const ManualPredicate* manual,
+                   bool differential) noexcept
+    : config_(config), manual_(manual), differential_(differential) {}
+
+bool KillFold::add(const GoldenEntry& golden, const driver::TestResult& observed) {
+    static const ManualPredicate kNoManual;
+    const ManualPredicate& manual = manual_ != nullptr ? *manual_ : kNoManual;
+    const KillReason with = classify(golden, observed, config_, manual);
+    if (strength(with) > strength(kill_.with_model)) kill_.with_model = with;
+    if (differential_) {
+        // classify() consults the model channel after crash, assertion
+        // and quiescence and before the output diff, so the leg without
+        // it can only differ when the model channel is what fired.
+        KillReason sans = with;
+        if (with == KillReason::ModelDivergence) {
+            OracleConfig without = config_;
+            without.use_model = false;
+            sans = classify(golden, observed, without, manual);
+        }
+        if (strength(sans) > strength(kill_.without_model)) {
+            kill_.without_model = sans;
+        }
+    }
+    return decided();
+}
+
+bool KillFold::decided() const noexcept {
+    return kill_.with_model == KillReason::Crash &&
+           (!differential_ || kill_.without_model == KillReason::Crash);
+}
+
+void KillFold::meter(const obs::Context& obs) const {
+    if (!obs.metrics.enabled()) return;
+    obs.metrics.add("oracle.suite_compares");
+    obs.metrics.add(std::string("oracle.kill.") + to_string(kill_.with_model));
+    if (differential_ && kill_.model_only()) {
+        obs.metrics.add("oracle.kill.model_only");
+    }
+}
+
+namespace {
+
+/// Fold a whole SuiteResult, each result against its index-aligned
+/// golden entry, stopping as soon as the verdict is decided.
+void fold_suite(KillFold& fold, const GoldenRecord& golden,
+                const driver::SuiteResult& observed) {
+    for (std::size_t i = 0; i < observed.results.size(); ++i) {
+        const driver::TestResult& result = observed.results[i];
+        const GoldenEntry* entry = golden.find(i, result.case_id);
+        if (entry == nullptr) continue;  // new case: nothing to compare against
+        if (fold.add(*entry, result)) break;
+    }
+}
+
+}  // namespace
+
 KillReason classify_suite(const GoldenRecord& golden,
                           const driver::SuiteResult& observed,
                           const OracleConfig& config, const ManualPredicate& manual,
                           const obs::Context& obs) {
     const obs::SpanScope span(obs.tracer, "oracle-compare", "classify-suite");
-    KillReason best = KillReason::None;
-    for (const auto& result : observed.results) {
-        const GoldenEntry* entry = golden.find(result.case_id);
-        if (entry == nullptr) continue;  // new case: nothing to compare against
-        const KillReason r = classify(*entry, result, config, manual);
-        if (strength(r) > strength(best)) best = r;
-        if (best == KillReason::Crash) break;  // cannot get stronger
-    }
-    if (obs.metrics.enabled()) {
-        obs.metrics.add("oracle.suite_compares");
-        obs.metrics.add(std::string("oracle.kill.") + to_string(best));
-    }
-    return best;
+    KillFold fold(config, &manual);
+    fold_suite(fold, golden, observed);
+    fold.meter(obs);
+    return fold.kill().with_model;
 }
 
 DifferentialKill classify_suite_differential(const GoldenRecord& golden,
@@ -147,28 +202,10 @@ DifferentialKill classify_suite_differential(const GoldenRecord& golden,
                                              const obs::Context& obs) {
     const obs::SpanScope span(obs.tracer, "oracle-compare",
                               "classify-suite-differential");
-    OracleConfig without = config;
-    without.use_model = false;
-
-    DifferentialKill out;
-    for (const auto& result : observed.results) {
-        const GoldenEntry* entry = golden.find(result.case_id);
-        if (entry == nullptr) continue;
-        const KillReason with = classify(*entry, result, config, manual);
-        const KillReason sans = classify(*entry, result, without, manual);
-        if (strength(with) > strength(out.with_model)) out.with_model = with;
-        if (strength(sans) > strength(out.without_model)) out.without_model = sans;
-        if (out.with_model == KillReason::Crash &&
-            out.without_model == KillReason::Crash) {
-            break;  // neither leg can get stronger
-        }
-    }
-    if (obs.metrics.enabled()) {
-        obs.metrics.add("oracle.suite_compares");
-        obs.metrics.add(std::string("oracle.kill.") + to_string(out.with_model));
-        if (out.model_only()) obs.metrics.add("oracle.kill.model_only");
-    }
-    return out;
+    KillFold fold(config, &manual, /*differential=*/true);
+    fold_suite(fold, golden, observed);
+    fold.meter(obs);
+    return fold.kill();
 }
 
 }  // namespace stc::oracle

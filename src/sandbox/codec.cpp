@@ -19,6 +19,8 @@ std::string encode_outcome(const mutation::MutantOutcome& outcome,
                    static_cast<std::uint64_t>(stats->executed_pairs));
         object.set("pruned_pairs",
                    static_cast<std::uint64_t>(stats->pruned_pairs));
+        object.set("decided_pairs",
+                   static_cast<std::uint64_t>(stats->decided_pairs));
         object.set("memoized_pairs",
                    static_cast<std::uint64_t>(stats->memoized_pairs));
         object.set("memoized_calls",
@@ -37,6 +39,7 @@ mutation::PruneStats decode_outcome_stats(std::string_view payload) {
     };
     stats.executed_pairs = grab("executed_pairs");
     stats.pruned_pairs = grab("pruned_pairs");
+    stats.decided_pairs = grab("decided_pairs");
     stats.memoized_pairs = grab("memoized_pairs");
     stats.memoized_calls = grab("memoized_calls");
     return stats;

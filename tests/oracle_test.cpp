@@ -238,6 +238,94 @@ TEST(ClassifySuite, UnknownCasesAreIgnored) {
     EXPECT_EQ(classify_suite(golden, observed), KillReason::None);
 }
 
+TEST(ClassifySuite, MisalignedResultsFallBackToLookupById) {
+    // Results in a different order (or a subset) than the golden record:
+    // the index-aligned guess misses and the id lookup must take over.
+    const auto golden = GoldenRecord::from(
+        make_suite({passing("TC0", "a"), passing("TC1", "b"), passing("TC2", "c")}));
+    const auto observed =
+        make_suite({passing("TC2", "c"), passing("TC1", "DIFFERENT")});
+    EXPECT_EQ(classify_suite(golden, observed), KillReason::OutputDiff);
+    EXPECT_EQ(golden.find(0, "TC2"), golden.find("TC2"));
+    EXPECT_EQ(golden.find(1, "TC1"), &golden.entries()[1]);
+    EXPECT_EQ(golden.find(7, "TC0"), &golden.entries()[0]);
+    EXPECT_EQ(golden.find(0, "TC9"), nullptr);
+}
+
+// ---------------------------------------------------------------- KillFold
+
+TEST(KillFold, AssertionThenCrashReportsCrash) {
+    const GoldenEntry clean{"TC0", Verdict::Pass, "a", "", ""};
+    KillFold fold;
+    EXPECT_FALSE(fold.add(clean, failing("TC0", Verdict::AssertionViolation)));
+    EXPECT_EQ(fold.kill().with_model, KillReason::Assertion);
+    EXPECT_TRUE(fold.add(clean, failing("TC0", Verdict::Crash)));
+    EXPECT_TRUE(fold.decided());
+    EXPECT_EQ(fold.kill().with_model, KillReason::Crash);
+}
+
+TEST(KillFold, CrashThatTheBaselineAlsoShowedDoesNotDecide) {
+    // The original program crashed in this case too: no crash kill, so
+    // a later case may still raise a stronger reason than this one.
+    GoldenEntry crashing{"TC0", Verdict::Crash, "", "boom", ""};
+    KillFold fold;
+    EXPECT_FALSE(fold.add(crashing, failing("TC0", Verdict::Crash)));
+    EXPECT_FALSE(fold.decided());
+    EXPECT_EQ(fold.kill().with_model, KillReason::None);
+    const GoldenEntry clean{"TC1", Verdict::Pass, "b", "", ""};
+    EXPECT_TRUE(fold.add(clean, failing("TC1", Verdict::Crash)));
+    EXPECT_EQ(fold.kill().with_model, KillReason::Crash);
+}
+
+TEST(KillFold, WeakerReasonsNeverDecide) {
+    const GoldenEntry clean{"TC0", Verdict::Pass, "a", "", ""};
+    KillFold fold({}, nullptr, /*differential=*/true);
+    EXPECT_FALSE(fold.add(clean, passing("TC0", "DIFFERENT")));
+    EXPECT_FALSE(fold.add(clean, diverging("TC0", "a", "wrong size")));
+    EXPECT_FALSE(fold.add(clean, failing("TC0", Verdict::AssertionViolation)));
+    EXPECT_EQ(fold.kill().with_model, KillReason::Assertion);
+    EXPECT_EQ(fold.kill().without_model, KillReason::Assertion);
+    EXPECT_TRUE(fold.add(clean, failing("TC0", Verdict::Crash)));
+}
+
+TEST(KillFold, DifferentialLegsMatchTwoSeparateClassifications) {
+    // Every (observed, later observed) combination of the kinds a case
+    // can show: the fold's two legs must equal classify_suite run once
+    // with the model channel and once without it.
+    const GoldenEntry clean{"TC0", Verdict::Pass, "a", "", ""};
+    const std::vector<TestResult> kinds = {
+        passing("TC0", "a"),
+        passing("TC0", "DIFFERENT"),
+        diverging("TC0", "a", "wrong size"),
+        diverging("TC0", "DIFFERENT", "wrong size"),
+        failing("TC0", Verdict::AssertionViolation),
+        failing("TC0", Verdict::Crash),
+    };
+    OracleConfig without;
+    without.use_model = false;
+    const auto golden = GoldenRecord::from(
+        make_suite({passing("TC0", "a"), passing("TC0", "a")}));
+    for (const TestResult& first : kinds) {
+        for (const TestResult& second : kinds) {
+            KillFold fold({}, nullptr, /*differential=*/true);
+            if (!fold.add(clean, first)) (void)fold.add(clean, second);
+            const auto observed = make_suite({first, second});
+            EXPECT_EQ(fold.kill().with_model, classify_suite(golden, observed));
+            EXPECT_EQ(fold.kill().without_model,
+                      classify_suite(golden, observed, without));
+        }
+    }
+}
+
+TEST(KillFold, ModelOnlyKillIsReportedPerLeg) {
+    const GoldenEntry clean{"TC0", Verdict::Pass, "a", "", ""};
+    KillFold fold({}, nullptr, /*differential=*/true);
+    EXPECT_FALSE(fold.add(clean, diverging("TC0", "a", "wrong size")));
+    EXPECT_EQ(fold.kill().with_model, KillReason::ModelDivergence);
+    EXPECT_EQ(fold.kill().without_model, KillReason::None);
+    EXPECT_TRUE(fold.kill().model_only());
+}
+
 TEST(KillReasonNames, AreStable) {
     EXPECT_STREQ(to_string(KillReason::None), "alive");
     EXPECT_STREQ(to_string(KillReason::Crash), "crash");

@@ -408,6 +408,81 @@ TEST_P(PruneEquivalence, PrunedEvaluationIsFateIdenticalPerMutant) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PruneEquivalence,
                          ::testing::Values(5, 23, 47, 91, 137, 4242));
 
+TEST_P(PruneEquivalence, EarlyExitIsFateIdenticalOnCObList) {
+    // The decide-and-stop half of the tier on a component that crashes:
+    // the pruned evaluator stops a suite at a decided crash kill and a
+    // probe at its first kill, yet must classify every CObList mutant
+    // exactly as the exhaustive evaluator — across seeds, value
+    // policies, and with the lockstep model on odd seeds.  Every
+    // (mutant, case) pair it looks at is executed, pruned or decided.
+    const std::uint64_t seed = GetParam();
+    const bool with_model = seed % 2 == 1;
+    mfc::ElementPool pool;
+    core::SelfTestableComponent component(mfc::coblist_spec(),
+                                          mfc::coblist_binding());
+    const auto completions = mfc::make_completions(pool);
+    component.set_completions(completions);
+
+    driver::GeneratorOptions gen;
+    gen.seed = seed;
+    gen.value_policy = seed % 3 == 0 ? driver::ValuePolicy::Boundary
+                                     : driver::ValuePolicy::Random;
+    driver::TestSuite suite = component.generate_tests(gen);
+    // A thinned suite leaves survivors, so the probe loop runs too.
+    driver::TestSuite thin = suite;
+    thin.cases.clear();
+    for (std::size_t i = 0; i < suite.cases.size(); i += 3) {
+        thin.cases.push_back(suite.cases[i]);
+    }
+    driver::GeneratorOptions probe_gen = gen;
+    probe_gen.seed = seed ^ 0x9e3779b97f4a7c15ULL;
+    const auto probe = component.generate_tests(probe_gen);
+    const auto mutants =
+        mutation::enumerate_mutants(mfc::descriptors(), "CObList");
+
+    mutation::EngineOptions options;
+    if (with_model) options.runner.model = model::binding_for("CObList");
+    driver::RunnerOptions probe_opts = options.runner;
+    probe_opts.observe_each_call = true;
+    const reflect::Registry& registry = component.registry();
+    const driver::TestRunner runner(registry, options.runner);
+    const driver::TestRunner probe_runner(registry, probe_opts);
+
+    auto covered = mutation::run_with_coverage(registry, options.runner, thin);
+    auto probe_covered = mutation::run_with_coverage(registry, probe_opts, probe);
+    const auto golden = oracle::GoldenRecord::from(covered.result);
+    const auto probe_golden = oracle::GoldenRecord::from(probe_covered.result);
+    mutation::PrunePlanOptions plan_options;
+    plan_options.memoize = !with_model;
+    const mutation::PrunePlan plan = mutation::build_prune_plan(
+        runner, registry.at("CObList"), thin, std::move(covered.index),
+        &probe_runner, &probe, std::move(probe_covered.index), plan_options);
+
+    mutation::PruneStats total;
+    for (const auto& mutant : mutants) {
+        const auto slow = mutation::evaluate_mutant(
+            mutant, [&] { return runner.run(thin); }, golden,
+            [&] { return probe_runner.run(probe); }, probe_golden, options);
+        mutation::PruneStats stats;
+        const auto fast = mutation::evaluate_mutant_pruned(
+            mutant, runner, registry.at("CObList"), thin, golden,
+            &probe_runner, &probe, probe_golden, plan, options, &stats);
+        EXPECT_EQ(fast.fate, slow.fate) << mutant.id();
+        EXPECT_EQ(fast.reason, slow.reason) << mutant.id();
+        EXPECT_EQ(fast.hit_by_suite, slow.hit_by_suite) << mutant.id();
+        EXPECT_EQ(fast.killed_by_probe, slow.killed_by_probe) << mutant.id();
+        EXPECT_EQ(fast.model_only, slow.model_only) << mutant.id();
+        const std::size_t pairs =
+            thin.cases.size() +
+            (fast.fate == mutation::MutantFate::Killed ? 0 : probe.cases.size());
+        EXPECT_EQ(stats.executed_pairs + stats.pruned_pairs + stats.decided_pairs,
+                  pairs)
+            << mutant.id();
+        total += stats;
+    }
+    EXPECT_GT(total.decided_pairs, 0u);
+}
+
 // --------------------------------------------------------- runner algebra
 
 class RunnerProperty : public ::testing::TestWithParam<std::uint64_t> {};

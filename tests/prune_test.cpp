@@ -18,6 +18,7 @@
 #include "stc/campaign/scheduler.h"
 #include "stc/core/self_testable.h"
 #include "stc/mfc/component.h"
+#include "stc/model/model.h"
 #include "stc/mutation/coverage.h"
 #include "stc/mutation/engine.h"
 #include "stc/mutation/prune.h"
@@ -235,6 +236,27 @@ TEST_F(PruneTest, MemoizationResumesPastTheUninstrumentedPrefix) {
         EXPECT_EQ(full.reason, pruned.reason) << mutant.id();
         EXPECT_EQ(full.hit_by_suite, pruned.hit_by_suite) << mutant.id();
     }
+}
+
+TEST_F(PruneTest, PlanForAnotherSuiteIsRejected) {
+    // Site postings address cases by suite position, so evaluating
+    // against a suite the plan was not built for must fail loudly
+    // instead of indexing out of range.
+    const driver::TestRunner runner(registry_, {});
+    const CoveredRun covered =
+        run_with_coverage(registry_, driver::RunnerOptions{}, suite_);
+    const auto golden = oracle::GoldenRecord::from(covered.result);
+    const PrunePlan plan = build_prune_plan(runner, binding(), suite_,
+                                            covered.index, nullptr, nullptr,
+                                            {});
+    driver::TestSuite shorter = suite_;
+    ASSERT_GT(shorter.cases.size(), 1u);
+    shorter.cases.pop_back();
+    EXPECT_THROW(
+        (void)evaluate_mutant_pruned(mutants_.front(), runner, binding(),
+                                     shorter, golden, nullptr, nullptr, {},
+                                     plan, EngineOptions{}),
+        ContractError);
 }
 
 TEST_F(PruneTest, ManualOracleRejectsPrunedEvaluation) {
@@ -471,13 +493,132 @@ TEST(PruneCObList, PrunedCampaignMatchesUnprunedOnTheRealComponent) {
     EXPECT_EQ(render(baseline, suite), render(pruned, suite));
     EXPECT_TRUE(pruned.stats.pruned);
     // Strictly fewer executed pairs, and full accounting: every
-    // (mutant, case) pair is either executed or pruned.
+    // (mutant, case) pair is executed, pruned as unreached, or skipped
+    // after a crash decided the verdict — CObList has crash kills, so
+    // some pairs must be.
     const std::uint64_t total =
         static_cast<std::uint64_t>(mutants.size()) * suite.size();
-    EXPECT_EQ(pruned.stats.executed_pairs + pruned.stats.pruned_pairs, total);
+    EXPECT_EQ(pruned.stats.executed_pairs + pruned.stats.pruned_pairs +
+                  pruned.stats.decided_pairs,
+              total);
     EXPECT_LT(pruned.stats.executed_pairs, total);
     EXPECT_GT(pruned.stats.pruned_pairs, 0u);
+    EXPECT_GT(pruned.stats.decided_pairs, 0u);
 }
+
+// --------------------------------------------- decide-and-stop evaluator
+
+/// Every `stride`-th case of `suite`: keeps the transaction mix of the
+/// generated suite at a size the exhaustive reference can afford per
+/// mutant.
+driver::TestSuite every_nth(const driver::TestSuite& suite, std::size_t stride) {
+    driver::TestSuite out = suite;
+    out.cases.clear();
+    for (std::size_t i = 0; i < suite.cases.size(); i += stride) {
+        out.cases.push_back(suite.cases[i]);
+    }
+    return out;
+}
+
+/// The pruned evaluator stops a suite once a crash decides the verdict
+/// and a probe at its first kill.  Per mutant it must still agree with
+/// the exhaustive evaluate_mutant on everything an outcome carries, on
+/// both real subjects, with and without a lockstep model, and with a
+/// probe suite attached.
+class PruneEarlyExit
+    : public ::testing::TestWithParam<std::tuple<const char*, bool>> {};
+
+TEST_P(PruneEarlyExit, StoppedEvaluationMatchesExhaustivePerMutant) {
+    const std::string class_name = std::get<0>(GetParam());
+    const bool with_model = std::get<1>(GetParam());
+    const bool sortable = class_name == "CSortableObList";
+
+    mfc::ElementPool pool;
+    core::SelfTestableComponent component(
+        sortable ? mfc::sortable_spec() : mfc::coblist_spec(),
+        sortable ? mfc::sortable_binding() : mfc::coblist_binding());
+    const driver::CompletionRegistry completions = mfc::make_completions(pool);
+    component.set_completions(completions);
+    driver::GeneratorOptions generator;
+    generator.seed = 7;
+    const std::size_t stride = sortable ? 6 : 2;
+    const driver::TestSuite suite =
+        every_nth(component.generate_tests(generator), stride);
+    driver::GeneratorOptions probe_generator = generator;
+    probe_generator.seed = generator.seed ^ 0x9e3779b97f4a7c15ULL;
+    probe_generator.cases_per_transaction = 2;
+    const driver::TestSuite probe =
+        every_nth(component.generate_tests(probe_generator), stride);
+    const auto mutants = enumerate_mutants(mfc::descriptors(), class_name);
+    ASSERT_FALSE(mutants.empty());
+
+    EngineOptions options;
+    if (with_model) {
+        options.runner.model = model::binding_for(class_name);
+        ASSERT_NE(options.runner.model, nullptr);
+    }
+    driver::RunnerOptions probe_options = options.runner;
+    probe_options.observe_each_call = true;
+    const reflect::Registry& registry = component.registry();
+    const driver::TestRunner runner(registry, options.runner);
+    const driver::TestRunner probe_runner(registry, probe_options);
+
+    CoveredRun covered = run_with_coverage(registry, options.runner, suite);
+    CoveredRun probe_covered = run_with_coverage(registry, probe_options, probe);
+    const auto golden = oracle::GoldenRecord::from(covered.result);
+    const auto probe_golden = oracle::GoldenRecord::from(probe_covered.result);
+    PrunePlanOptions plan_options;
+    plan_options.memoize = !with_model;  // as the scheduler does
+    const PrunePlan plan = build_prune_plan(
+        runner, registry.at(class_name), suite, std::move(covered.index),
+        &probe_runner, &probe, std::move(probe_covered.index), plan_options);
+
+    PruneStats total;
+    std::size_t crash_kills = 0;
+    std::size_t probe_kills = 0;
+    std::size_t model_kills = 0;
+    for (const Mutant& mutant : mutants) {
+        const MutantOutcome slow = evaluate_mutant(
+            mutant, [&] { return runner.run(suite); }, golden,
+            [&] { return probe_runner.run(probe); }, probe_golden, options);
+        PruneStats stats;
+        const MutantOutcome fast = evaluate_mutant_pruned(
+            mutant, runner, registry.at(class_name), suite, golden,
+            &probe_runner, &probe, probe_golden, plan, options, &stats);
+        EXPECT_EQ(fast.fate, slow.fate) << mutant.id();
+        EXPECT_EQ(fast.reason, slow.reason) << mutant.id();
+        EXPECT_EQ(fast.hit_by_suite, slow.hit_by_suite) << mutant.id();
+        EXPECT_EQ(fast.model_only, slow.model_only) << mutant.id();
+        EXPECT_EQ(fast.killed_by_probe, slow.killed_by_probe) << mutant.id();
+        // Per-mutant accounting: the probe only runs for a survivor.
+        const std::uint64_t pairs =
+            suite.size() + (fast.fate == MutantFate::Killed ? 0 : probe.size());
+        EXPECT_EQ(stats.executed_pairs + stats.pruned_pairs + stats.decided_pairs,
+                  pairs)
+            << mutant.id();
+        total += stats;
+        crash_kills += slow.reason == oracle::KillReason::Crash ? 1 : 0;
+        probe_kills += slow.killed_by_probe ? 1 : 0;
+        model_kills += slow.reason == oracle::KillReason::ModelDivergence ? 1 : 0;
+    }
+    // The cutoff must actually have been exercised on both loops, and
+    // the model runs must reach the differential channel.
+    EXPECT_GT(crash_kills, 0u);
+    EXPECT_GT(probe_kills, 0u);
+    if (with_model) {
+        EXPECT_GT(model_kills, 0u);
+    }
+    EXPECT_GT(total.decided_pairs, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Subjects, PruneEarlyExit,
+    ::testing::Combine(::testing::Values("CObList", "CSortableObList"),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<PruneEarlyExit::ParamType>& info) {
+        return std::string(std::get<0>(info.param)) +
+               (std::get<1>(info.param) ? "Model" : "Plain");
+    });
 
 }  // namespace
 }  // namespace stc::mutation

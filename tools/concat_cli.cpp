@@ -957,6 +957,7 @@ int cmd_campaign(const Options& options) {
         std::cerr << "prune stats: executed_pairs="
                   << result.stats.executed_pairs
                   << " pruned_pairs=" << result.stats.pruned_pairs
+                  << " decided_pairs=" << result.stats.decided_pairs
                   << " memoized_pairs=" << result.stats.memoized_pairs
                   << " memoized_calls=" << result.stats.memoized_calls << "\n";
     }
@@ -1829,6 +1830,7 @@ int cmd_dispatch(const Options& options) {
             .set("pruned", host->pruned())
             .set("executed_pairs", prune_totals.executed_pairs)
             .set("pruned_pairs", prune_totals.pruned_pairs)
+            .set("decided_pairs", prune_totals.decided_pairs)
             .set("memoized_pairs", prune_totals.memoized_pairs)
             .set("memoized_calls", prune_totals.memoized_calls)
             .set("wall_ms", stats.wall_ms));
@@ -1850,6 +1852,7 @@ int cmd_dispatch(const Options& options) {
         std::cerr << "prune stats: executed_pairs="
                   << prune_totals.executed_pairs
                   << " pruned_pairs=" << prune_totals.pruned_pairs
+                  << " decided_pairs=" << prune_totals.decided_pairs
                   << " memoized_pairs=" << prune_totals.memoized_pairs
                   << " memoized_calls=" << prune_totals.memoized_calls << "\n";
     }
