@@ -92,7 +92,7 @@ struct DispatchOutcome {
     std::size_t streamed_spans = 0;   // worker spans absorbed (streaming)
 };
 
-/// `streaming` turns on the full minor-2 observability path: an enabled
+/// `streaming` turns on the full streamed observability path: an enabled
 /// coordinator tracer (so every worker streams its spans back) plus
 /// event streaming at a 100ms snapshot cadence — the cost the
 /// obs-streaming-on / obs-off row pair in BENCH_campaign.json bounds.

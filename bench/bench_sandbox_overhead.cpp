@@ -14,10 +14,12 @@
 // build.
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "bench_util.h"
 #include "stc/campaign/scheduler.h"
+#include "stc/sandbox/executor.h"
 
 namespace {
 
@@ -35,8 +37,11 @@ RunOutcome run_engine(const stc::reflect::Registry& registry,
     stc::campaign::CampaignOptions options;
     options.jobs = jobs;
     options.seed = 20010701;
-    options.isolate = isolate;
-    options.sandbox.timeout_ms = 30000;
+    if (isolate) {
+        stc::sandbox::SandboxLimits limits;
+        limits.timeout_ms = 30000;
+        options.executor = std::make_shared<stc::sandbox::SandboxExecutor>(limits);
+    }
 
     const auto t0 = std::chrono::steady_clock::now();
     const stc::campaign::CampaignScheduler scheduler(registry, options);

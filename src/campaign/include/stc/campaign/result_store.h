@@ -17,17 +17,21 @@
 #include <optional>
 #include <string>
 
-#include "stc/campaign/jsonl.h"
+#include "stc/mutation/engine.h"
+#include "stc/obs/json.h"
 
 namespace stc::campaign {
 
-/// The persisted outcome of one completed work item.
+/// The persisted outcome of one completed work item.  The outcome
+/// fields hold their to_string names; set_outcome()/outcome() convert,
+/// and to_json()/from_json() go through the one outcome codec
+/// (outcome_codec.h).
 struct ItemRecord {
     std::string key;        ///< content key: hex(hash(fingerprint, mutant id))
     std::string mutant_id;  ///< for human audit; not used for matching
     std::size_t item_index = 0;
-    std::string fate;       ///< mutation::to_string(MutantFate)
-    std::string reason;     ///< oracle::to_string(KillReason)
+    std::string fate = "alive";    ///< mutation::to_string(MutantFate)
+    std::string reason = "alive";  ///< oracle::to_string(KillReason)
     bool hit_by_suite = false;
     bool killed_by_probe = false;
     /// Killed only by the reference-model channel
@@ -46,8 +50,18 @@ struct ItemRecord {
     /// stores a kill pass never touched are byte-unchanged.
     bool synthesized = false;
 
-    [[nodiscard]] JsonObject to_json() const;
-    [[nodiscard]] static std::optional<ItemRecord> from_json(const JsonObject& o);
+    /// Copy the outcome fields of `outcome` (the one place a record is
+    /// filled from a MutantOutcome).
+    void set_outcome(const mutation::MutantOutcome& outcome);
+    /// The outcome these fields describe; `mutant` is null.  Names that
+    /// parse as no fate/reason read as alive.
+    [[nodiscard]] mutation::MutantOutcome outcome() const;
+
+    [[nodiscard]] obs::JsonObject to_json() const;
+    /// std::nullopt when a required field is missing or the outcome does
+    /// not decode (an unknown fate or reason name).
+    [[nodiscard]] static std::optional<ItemRecord> from_json(
+        const obs::JsonObject& o);
 };
 
 /// A read-only look at a result store on disk — unlike opening a
@@ -108,8 +122,6 @@ public:
     void append(const ItemRecord& record);
 
 private:
-    void start_fresh(const std::string& path);
-
     std::string fingerprint_;
     std::map<std::string, ItemRecord> records_;
     std::size_t loaded_ = 0;

@@ -2,8 +2,9 @@
 //
 // The serial MutationEngine evaluates mutants one at a time; campaign
 // cost is mutants x transactions.  The scheduler shards the (mutant x
-// suite) work items of one campaign across a work-stealing pool and
-// reassembles a MutationRun whose fates and kill reasons are
+// suite) work items of one campaign across an executor (executor.h:
+// thread pool, fork-server or remote daemons) and reassembles a
+// MutationRun whose fates and kill reasons are
 // bit-identical to the serial engine's, because
 //   - every item derives its own RNG seed from (campaign seed, mutant
 //     id, transaction id) instead of sharing a sequential stream
@@ -16,18 +17,18 @@
 // Resumability: with a store path set, every finished item is appended
 // to a content-hashed JSONL results file; reopening the same campaign
 // skips the finished items (ResultStore).  Telemetry: every scheduling
-// event can be streamed as JSONL (TelemetrySink, docs/FORMATS.md §5).
+// event can be streamed as JSONL (obs::JsonlSink, docs/FORMATS.md §5).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "stc/campaign/executor.h"
 #include "stc/campaign/result_store.h"
-#include "stc/campaign/telemetry.h"
 #include "stc/mutation/engine.h"
 #include "stc/obs/context.h"
-#include "stc/sandbox/limits.h"
 
 namespace stc::campaign {
 
@@ -61,9 +62,10 @@ struct CampaignOptions {
     /// test case located, minimized with the delta-debugging shrinker
     /// (stc::fuzz, preserving the oracle's kill classification), and
     /// persisted into this corpus directory as a replayable reproducer.
-    /// Requires `spec`.  Deterministic per item: the corpus contents do
-    /// not depend on --jobs.  Resumed items are skipped (the original
-    /// run already saved theirs).
+    /// Requires `spec` and the in-process pool (`executor` null).
+    /// Deterministic per item: the corpus contents do not depend on
+    /// --jobs.  Resumed items are skipped (the original run already
+    /// saved theirs).
     std::string shrink_corpus_dir;
     /// Shrink budget per killed mutant, in predicate evaluations (each
     /// costs a mutated + an unmutated execution of the candidate).
@@ -74,19 +76,11 @@ struct CampaignOptions {
     const tspec::ComponentSpec* spec = nullptr;
     /// Completions for replay verification of persisted reproducers.
     const driver::CompletionRegistry* completions = nullptr;
-    /// Process isolation (`concat campaign --isolate`): evaluate every
-    /// pending item in a forked sandbox worker (stc::sandbox) instead
-    /// of the thread pool, so a mutant that really segfaults, hangs, or
-    /// exhausts memory kills only its worker.  The worker is respawned
-    /// and the item recorded with MutantOutcome::sandbox set; for
-    /// mutants that do not crash, fates are byte-identical to the
-    /// in-process run at any `jobs`.  Incompatible with
-    /// shrink_corpus_dir (the shrinker re-executes mutants in the
-    /// orchestrator process).
-    bool isolate = false;
-    /// Per-item wall deadline and child rlimits; used only with
-    /// `isolate`.
-    sandbox::SandboxLimits sandbox;
+    /// Where pending items run (executor.h); null selects the in-process
+    /// pool of `jobs` threads.  Resume, store, telemetry and merge stay
+    /// the scheduler's, so fates and reports are byte-identical across
+    /// executors.
+    std::shared_ptr<Executor> executor;
     /// The fast execution tier (`concat campaign --prune`, the default):
     /// record a coverage-signature index during the golden run, skip
     /// every (mutant, case) pair whose mutation site the case provably
@@ -101,14 +95,6 @@ struct CampaignOptions {
     bool prune = true;
 };
 
-/// One (mutant x suite) work item.
-struct CampaignItem {
-    std::size_t index = 0;                    ///< position in the mutant list
-    const mutation::Mutant* mutant = nullptr;
-    std::uint64_t item_seed = 0;  ///< derive_item_seed(campaign, mutant, suite)
-    std::string key;              ///< content key in the result store
-};
-
 struct CampaignStats {
     std::size_t items = 0;
     std::size_t executed = 0;  ///< evaluated in this run
@@ -117,7 +103,7 @@ struct CampaignStats {
     std::size_t workers = 1;
     std::uint64_t steals = 0;
     /// Sandbox workers re-forked after a crash/timeout/limit kill (0
-    /// for in-process runs).
+    /// unless the executor forks).
     std::size_t respawns = 0;
     double wall_ms = 0.0;      ///< item-execution phase only
     /// Fast-tier accounting (all zero when pruning was not engaged).
@@ -142,7 +128,7 @@ public:
                                CampaignOptions options = {});
 
     /// Run the campaign: golden baselines are captured once (serially),
-    /// then the items execute across the pool.  Equivalent to
+    /// then the pending items execute on the executor.  Equivalent to
     /// MutationEngine::run on the same inputs, fate-for-fate.
     [[nodiscard]] CampaignResult run(
         const driver::TestSuite& suite,

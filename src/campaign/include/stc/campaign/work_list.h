@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "stc/campaign/result_store.h"
 #include "stc/mutation/engine.h"
 
 namespace stc::campaign {
@@ -49,12 +48,5 @@ struct WorkItem {
 /// same campaign splits identically on every dispatch.
 [[nodiscard]] std::size_t shard_of(const std::string& key,
                                    std::size_t shards) noexcept;
-
-/// Decode a persisted record back into a MutantOutcome (fate and
-/// reason strings parsed); false when the record is unreadable and the
-/// item must be re-executed.  `out->mutant` is left null — the caller
-/// rebinds it by item index.
-[[nodiscard]] bool restore_outcome(const ItemRecord& record,
-                                   mutation::MutantOutcome* out);
 
 }  // namespace stc::campaign

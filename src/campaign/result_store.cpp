@@ -5,51 +5,58 @@
 #include <utility>
 #include <vector>
 
+#include "stc/campaign/outcome_codec.h"
 #include "stc/support/error.h"
 
 namespace stc::campaign {
+
+using obs::JsonObject;
+
+void ItemRecord::set_outcome(const mutation::MutantOutcome& outcome) {
+    fate = mutation::to_string(outcome.fate);
+    reason = oracle::to_string(outcome.reason);
+    hit_by_suite = outcome.hit_by_suite;
+    killed_by_probe = outcome.killed_by_probe;
+    model_only = outcome.model_only;
+    sandbox = outcome.sandbox;
+    synthesized = outcome.synthesized;
+}
+
+mutation::MutantOutcome ItemRecord::outcome() const {
+    mutation::MutantOutcome out;
+    out.fate = mutation::fate_from_string(fate).value_or(out.fate);
+    out.reason = oracle::kill_reason_from_string(reason).value_or(out.reason);
+    out.hit_by_suite = hit_by_suite;
+    out.killed_by_probe = killed_by_probe;
+    out.model_only = model_only;
+    out.sandbox = sandbox;
+    out.synthesized = synthesized;
+    return out;
+}
 
 JsonObject ItemRecord::to_json() const {
     JsonObject o;
     o.set("key", key)
         .set("mutant", mutant_id)
-        .set("item", static_cast<std::uint64_t>(item_index))
-        .set("fate", fate)
-        .set("reason", reason)
-        .set("hit", hit_by_suite)
-        .set("probe_kill", killed_by_probe)
-        .set("item_seed", item_seed)
-        .set("wall_ms", wall_ms);
-    if (model_only) o.set("model_only", true);
-    if (!sandbox.empty()) o.set("sandbox", sandbox);
-    if (synthesized) o.set("synthesized", true);
+        .set("item", static_cast<std::uint64_t>(item_index));
+    encode_outcome(o, outcome());
+    o.set("item_seed", item_seed).set("wall_ms", wall_ms);
     return o;
 }
 
 std::optional<ItemRecord> ItemRecord::from_json(const JsonObject& o) {
-    ItemRecord r;
     const auto key = o.get_string("key");
     const auto mutant = o.get_string("mutant");
     const auto item = o.get_uint("item");
-    const auto fate = o.get_string("fate");
-    const auto reason = o.get_string("reason");
-    const auto hit = o.get_bool("hit");
-    const auto probe_kill = o.get_bool("probe_kill");
-    if (!key || !mutant || !item || !fate || !reason || !hit || !probe_kill) {
-        return {};
-    }
+    const auto outcome = decode_outcome(o);
+    if (!key || !mutant || !item || !outcome) return {};
+    ItemRecord r;
     r.key = *key;
     r.mutant_id = *mutant;
     r.item_index = static_cast<std::size_t>(*item);
-    r.fate = *fate;
-    r.reason = *reason;
-    r.hit_by_suite = *hit;
-    r.killed_by_probe = *probe_kill;
-    r.model_only = o.get_bool("model_only").value_or(false);
+    r.set_outcome(*outcome);
     r.item_seed = o.get_uint("item_seed").value_or(0);
     r.wall_ms = o.get_double("wall_ms").value_or(0.0);
-    r.sandbox = o.get_string("sandbox").value_or("");
-    r.synthesized = o.get_bool("synthesized").value_or(false);
     return r;
 }
 
@@ -125,84 +132,21 @@ void rewrite_store(const std::string& path, const std::string& fingerprint,
 
 ResultStore::ResultStore(const std::string& path, const std::string& fingerprint)
     : fingerprint_(fingerprint) {
-    bool resumable = false;
-    bool needs_rewrite = false;
-    std::vector<ItemRecord> recovered;  // load order, for faithful rewrite
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (in) {
-            const std::string content{std::istreambuf_iterator<char>(in),
-                                      std::istreambuf_iterator<char>()};
-            const bool terminated = !content.empty() && content.back() == '\n';
-            std::size_t pos = 0;
-            bool header_line = true;
-            while (pos < content.size()) {
-                const std::size_t nl = content.find('\n', pos);
-                const bool last = nl == std::string::npos;
-                const std::string_view line(
-                    content.data() + pos, (last ? content.size() : nl) - pos);
-                pos = last ? content.size() : nl + 1;
-                // A final line with no newline is a write that the
-                // previous process died inside: the record (if it even
-                // parses) may be incomplete, so the tail must be cut
-                // and the file rewritten before this run appends.
-                const bool torn = last && !terminated;
-                if (header_line) {
-                    header_line = false;
-                    const auto header = JsonObject::parse(line);
-                    resumable = header &&
-                                header->get_string("event") == "store-header" &&
-                                header->get_string("campaign") == fingerprint_;
-                    if (!resumable) break;
-                    if (torn) needs_rewrite = true;
-                    continue;
-                }
-                const auto parsed = JsonObject::parse(line);
-                auto record =
-                    parsed ? ItemRecord::from_json(*parsed) : std::nullopt;
-                if (!record || torn) {
-                    ++dropped_;
-                    needs_rewrite = true;
-                    continue;
-                }
-                recovered.push_back(std::move(*record));
-            }
-        }
-    }
-
-    if (resumable) {
-        for (const ItemRecord& record : recovered) {
+    // peek_store drops a torn tail; rewriting before this run appends
+    // keeps the partial line from fusing with the next record.
+    std::optional<StorePeek> peek = peek_store(path, nullptr);
+    if (peek && peek->fingerprint == fingerprint_) {
+        for (const ItemRecord& record : peek->records) {
             records_.insert_or_assign(record.key, record);
         }
         loaded_ = records_.size();
-        if (needs_rewrite) {
-            std::ofstream rewrite(path, std::ios::trunc);
-            JsonObject header;
-            header.set("event", "store-header").set("campaign", fingerprint_);
-            rewrite << header.to_line() << '\n';
-            for (const ItemRecord& record : recovered) {
-                rewrite << record.to_json().to_line() << '\n';
-            }
-            rewrite.flush();
-            if (!rewrite) throw Error("cannot rewrite result store: " + path);
-        }
-        out_.open(path, std::ios::app);
+        dropped_ = peek->dropped;
+        if (dropped_ > 0) rewrite_store(path, fingerprint_, peek->records);
     } else {
-        start_fresh(path);
+        rewrite_store(path, fingerprint_, {});
     }
+    out_.open(path, std::ios::app);
     if (!out_) throw Error("cannot open result store: " + path);
-}
-
-void ResultStore::start_fresh(const std::string& path) {
-    records_.clear();
-    loaded_ = 0;
-    dropped_ = 0;
-    out_.open(path, std::ios::trunc);
-    if (!out_) return;  // constructor reports the failure
-    JsonObject header;
-    header.set("event", "store-header").set("campaign", fingerprint_);
-    out_ << header.to_line() << '\n';
-    out_.flush();
 }
 
 const ItemRecord* ResultStore::find(const std::string& key) const {

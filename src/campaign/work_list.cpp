@@ -45,19 +45,4 @@ std::size_t shard_of(const std::string& key, std::size_t shards) noexcept {
     return static_cast<std::size_t>(splitmix64(fnv1a64(key)) % shards);
 }
 
-bool restore_outcome(const ItemRecord& record, mutation::MutantOutcome* out) {
-    const auto fate = mutation::fate_from_string(record.fate);
-    const auto reason = oracle::kill_reason_from_string(record.reason);
-    if (!fate || !reason) return false;
-    out->mutant = nullptr;
-    out->fate = *fate;
-    out->reason = *reason;
-    out->hit_by_suite = record.hit_by_suite;
-    out->killed_by_probe = record.killed_by_probe;
-    out->model_only = record.model_only;
-    out->sandbox = record.sandbox;
-    out->synthesized = record.synthesized;
-    return true;
-}
-
 }  // namespace stc::campaign

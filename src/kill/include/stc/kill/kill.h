@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "stc/campaign/result_store.h"
-#include "stc/campaign/telemetry.h"
+#include "stc/obs/jsonl_sink.h"
 #include "stc/driver/generator.h"
 #include "stc/fuzz/shrink.h"
 #include "stc/kill/search.h"
@@ -57,7 +57,7 @@ struct KillOptions {
     std::size_t max_shrink_steps = 256;
     /// Kill telemetry (kill-run-start/kill-start/kill-candidate/
     /// kill-verified/kill-gave-up/kill-run-end, docs/FORMATS.md §14).
-    campaign::TelemetrySink telemetry;
+    obs::JsonlSink telemetry;
     obs::Context obs;
 };
 

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "stc/campaign/outcome_codec.h"
 #include "stc/obs/json.h"
 
 namespace stc::sandbox {
@@ -9,65 +10,15 @@ namespace stc::sandbox {
 std::string encode_outcome(const mutation::MutantOutcome& outcome,
                            const mutation::PruneStats* stats) {
     obs::JsonObject object;
-    object.set("fate", mutation::to_string(outcome.fate));
-    object.set("reason", oracle::to_string(outcome.reason));
-    object.set("hit", outcome.hit_by_suite);
-    object.set("probe_kill", outcome.killed_by_probe);
-    object.set("model_only", outcome.model_only);
-    if (stats != nullptr) {
-        object.set("executed_pairs",
-                   static_cast<std::uint64_t>(stats->executed_pairs));
-        object.set("pruned_pairs",
-                   static_cast<std::uint64_t>(stats->pruned_pairs));
-        object.set("decided_pairs",
-                   static_cast<std::uint64_t>(stats->decided_pairs));
-        object.set("memoized_pairs",
-                   static_cast<std::uint64_t>(stats->memoized_pairs));
-        object.set("memoized_calls",
-                   static_cast<std::uint64_t>(stats->memoized_calls));
-    }
+    campaign::encode_outcome(object, outcome);
+    if (stats != nullptr) campaign::encode_prune_stats(object, *stats);
     return object.to_line();
-}
-
-mutation::PruneStats decode_outcome_stats(std::string_view payload) {
-    mutation::PruneStats stats;
-    const auto object = obs::JsonObject::parse(payload);
-    if (!object) return stats;
-    const auto grab = [&](const char* key) -> std::uint64_t {
-        const auto value = object->get_int(key);
-        return value && *value >= 0 ? static_cast<std::uint64_t>(*value) : 0;
-    };
-    stats.executed_pairs = grab("executed_pairs");
-    stats.pruned_pairs = grab("pruned_pairs");
-    stats.decided_pairs = grab("decided_pairs");
-    stats.memoized_pairs = grab("memoized_pairs");
-    stats.memoized_calls = grab("memoized_calls");
-    return stats;
 }
 
 std::optional<mutation::MutantOutcome> decode_outcome(
     std::string_view payload) {
     const auto object = obs::JsonObject::parse(payload);
-    if (!object) return std::nullopt;
-    const auto fate_text = object->get_string("fate");
-    const auto reason_text = object->get_string("reason");
-    const auto hit = object->get_bool("hit");
-    const auto probe_kill = object->get_bool("probe_kill");
-    if (!fate_text || !reason_text || !hit || !probe_kill) {
-        return std::nullopt;
-    }
-    const auto fate = mutation::fate_from_string(*fate_text);
-    const auto reason = oracle::kill_reason_from_string(*reason_text);
-    if (!fate || !reason) return std::nullopt;
-    mutation::MutantOutcome outcome;
-    outcome.fate = *fate;
-    outcome.reason = *reason;
-    outcome.hit_by_suite = *hit;
-    outcome.killed_by_probe = *probe_kill;
-    // Tolerant: replies encoded before the model-oracle field existed
-    // decode with the default.
-    outcome.model_only = object->get_bool("model_only").value_or(false);
-    return outcome;
+    return object ? campaign::decode_outcome(*object) : std::nullopt;
 }
 
 mutation::MutantOutcome outcome_from_termination(std::string kind) {

@@ -4,7 +4,8 @@
 // Two payload schemas, both one flat JSON object per frame
 // (obs::JsonObject, docs/FORMATS.md §8):
 //   - a MutantOutcome reply for `concat campaign --isolate` (the
-//     request direction is just a decimal item index);
+//     request direction is just a decimal item index): one line of the
+//     campaign outcome codec plus the item's prune counters;
 //   - a TestResult reply for `concat fuzz --isolate` (the request is a
 //     serialized one-case suite, driver/suite_io.h).
 //
@@ -25,21 +26,13 @@
 
 namespace stc::sandbox {
 
-/// Serialize the child-computed outcome (fate/reason/hit/probe-kill).
-/// The mutant pointer does not travel; the parent rebinds it by item
-/// index.  `stats`, when given, rides along as executed/pruned/memoized
-/// pair counters (pruned campaign items; decoded tolerantly so replies
-/// without them yield zeros).
+/// One reply line in the campaign outcome codec (campaign/
+/// outcome_codec.h), `stats` riding along as pair counters when given.
 [[nodiscard]] std::string encode_outcome(
     const mutation::MutantOutcome& outcome,
     const mutation::PruneStats* stats = nullptr);
 
-/// Prune counters of a reply frame; all-zero when the reply carried
-/// none (unpruned run or pre-prune encoder).
-[[nodiscard]] mutation::PruneStats decode_outcome_stats(
-    std::string_view payload);
-
-/// Parse a reply frame; std::nullopt on malformed input (a worker that
+/// Parse a reply line; std::nullopt on malformed input (a worker that
 /// printed garbage).  `mutant` is left null.
 [[nodiscard]] std::optional<mutation::MutantOutcome> decode_outcome(
     std::string_view payload);

@@ -4,13 +4,14 @@
 #include <map>
 #include <utility>
 
+#include "stc/campaign/outcome_codec.h"
 #include "stc/campaign/scheduler.h"
 #include "stc/core/self_testable.h"
 #include "stc/mfc/component.h"
 #include "stc/model/model.h"
-#include "stc/mutation/coverage.h"
 #include "stc/sandbox/codec.h"
 #include "stc/support/error.h"
+#include "stc/support/strings.h"
 #include "stc/tfm/coverage.h"
 
 namespace stc::serve {
@@ -90,6 +91,44 @@ std::vector<std::string> builtin_target_names() {
     return names;
 }
 
+std::optional<BuiltinInputs> make_builtin_inputs(
+    const BuiltinCampaignConfig& config, std::string* error) {
+    const BuiltinTarget* target = find_builtin_target(config.component);
+    if (target == nullptr) {
+        if (error != nullptr) {
+            *error = "unknown component '" + config.component +
+                     "' (expected one of: " +
+                     support::join(builtin_target_names(), ", ") + ")";
+        }
+        return std::nullopt;
+    }
+    BuiltinInputs in;
+    in.holder = target->make_component();
+    const core::SelfTestableComponent& component = *in.holder.component;
+    in.suite = component.generate_tests(config.generator);
+    if (config.probe) {
+        driver::GeneratorOptions probe = config.generator;
+        probe.seed = config.generator.seed ^ 0x9e3779b97f4a7c15ULL;
+        probe.cases_per_transaction = config.generator.cases_per_transaction + 1;
+        in.probe = component.generate_tests(probe);
+    }
+    in.mutants = target->mutants();
+    in.options.seed = config.generator.seed;
+    in.options.prune = config.prune;
+    if (config.model) {
+        in.options.engine.runner.model = model::binding_for(in.suite.class_name);
+        if (in.options.engine.runner.model == nullptr) {
+            if (error != nullptr) {
+                *error = "no reference model for '" + in.suite.class_name +
+                         "' (models exist for: " +
+                         support::join(model::modeled_classes(), " ") + ")";
+            }
+            return std::nullopt;
+        }
+    }
+    return in;
+}
+
 obs::JsonObject make_hello(const BuiltinCampaignConfig& config,
                            const std::string& fingerprint) {
     return obs::JsonObject()
@@ -148,22 +187,10 @@ std::optional<BuiltinCampaignConfig> parse_hello(const obs::JsonObject& hello,
 }
 
 struct BuiltinCampaign::Impl {
-    BuiltinCampaignConfig config;
-    BuiltinComponent holder;
-    driver::TestSuite suite;
-    std::optional<driver::TestSuite> probe;
-    std::vector<mutation::Mutant> mutants;
-    mutation::EngineOptions engine;
-    std::optional<driver::TestRunner> runner;
-    std::optional<driver::TestRunner> probe_runner;
-    oracle::GoldenRecord golden;
-    oracle::GoldenRecord probe_golden;
-    bool baseline_clean = false;
+    BuiltinInputs in;
     std::string fingerprint;
     std::vector<campaign::WorkItem> items;
-    const reflect::ClassBinding* binding = nullptr;
-    bool prune_engaged = false;
-    mutation::PrunePlan plan;
+    std::optional<campaign::ExecutionContext> context;
 };
 
 BuiltinCampaign::BuiltinCampaign() : impl_(std::make_unique<Impl>()) {}
@@ -172,120 +199,27 @@ BuiltinCampaign::~BuiltinCampaign() = default;
 std::unique_ptr<BuiltinCampaign> BuiltinCampaign::open(
     const BuiltinCampaignConfig& config, std::string* error,
     const obs::Context& obs) {
-    const BuiltinTarget* target = find_builtin_target(config.component);
-    if (target == nullptr) {
-        if (error != nullptr) {
-            std::string known;
-            for (const auto& name : builtin_target_names()) {
-                known += known.empty() ? name : ", " + name;
-            }
-            *error = "unknown component '" + config.component +
-                     "' (expected one of: " + known + ")";
-        }
-        return nullptr;
-    }
-
+    auto in = make_builtin_inputs(config, error);
+    if (!in) return nullptr;
     std::unique_ptr<BuiltinCampaign> out(new BuiltinCampaign());
     Impl& s = *out->impl_;
-    s.config = config;
-    s.engine.obs = obs;
-    s.engine.runner.obs = obs;
-    s.holder = target->make_component();
-    auto& component = *s.holder.component;
-
-    s.suite = component.generate_tests(config.generator);
-    if (config.probe) {
-        // Same amplification `concat campaign --probe` applies: a
-        // decorrelated seed and one extra case per transaction.
-        driver::GeneratorOptions probe_options = config.generator;
-        probe_options.seed = config.generator.seed ^ 0x9e3779b97f4a7c15ULL;
-        probe_options.cases_per_transaction =
-            config.generator.cases_per_transaction + 1;
-        s.probe = component.generate_tests(probe_options);
-    }
-    s.mutants =
-        target->mutants();
-
-    if (config.model) {
-        const driver::ModelBinding* binding =
-            model::binding_for(s.suite.class_name);
-        if (binding == nullptr) {
-            if (error != nullptr) {
-                *error = "no reference model for '" + s.suite.class_name + "'";
-            }
-            return nullptr;
-        }
-        s.engine.runner.model = binding;
-    }
-
+    s.in = std::move(*in);
+    s.in.options.engine.obs = obs;
+    s.in.options.engine.runner.obs = obs;
+    const reflect::Registry& registry = s.in.holder.component->registry();
     // Campaign identity, computed exactly as the in-process scheduler
     // does — this is the value the handshake cross-checks.
-    campaign::CampaignOptions campaign_options;
-    campaign_options.seed = config.generator.seed;
-    campaign_options.engine = s.engine;
-    campaign_options.prune = config.prune;
-    const campaign::CampaignScheduler scheduler(component.registry(),
-                                                campaign_options);
-    s.fingerprint =
-        scheduler.fingerprint(s.suite, s.mutants, s.probe ? &*s.probe : nullptr);
+    s.fingerprint = campaign::CampaignScheduler(registry, s.in.options)
+                        .fingerprint(s.in.suite, s.in.mutants, s.in.probe_suite());
     s.items = campaign::build_work_list(config.generator.seed, s.fingerprint,
-                                        s.suite, s.mutants);
-
-    // Golden baselines, captured once per session (the scheduler's
-    // "golden-baseline" phase, replicated here because each end of a
-    // dispatch owns its own executors).
-    s.runner.emplace(component.registry(), s.engine.runner);
-    driver::RunnerOptions probe_opts = s.engine.runner;
-    probe_opts.observe_each_call = true;
-    s.probe_runner.emplace(component.registry(), probe_opts);
-    s.prune_engaged = config.prune && s.engine.manual_oracle == nullptr;
-    mutation::CoverageIndex coverage;
-    mutation::CoverageIndex probe_coverage;
-    if (s.prune_engaged) {
-        auto covered = mutation::run_with_coverage(component.registry(),
-                                                   s.engine.runner, s.suite);
-        s.golden = oracle::GoldenRecord::from(covered.result);
-        coverage = std::move(covered.index);
-    } else {
-        s.golden = oracle::GoldenRecord::from(s.runner->run(s.suite));
-    }
-    s.baseline_clean = s.golden.all_passed();
-    if (s.probe) {
-        if (s.prune_engaged) {
-            auto covered = mutation::run_with_coverage(component.registry(),
-                                                       probe_opts, *s.probe);
-            s.probe_golden = oracle::GoldenRecord::from(covered.result);
-            probe_coverage = std::move(covered.index);
-        } else {
-            s.probe_golden =
-                oracle::GoldenRecord::from(s.probe_runner->run(*s.probe));
-        }
-    }
-    s.binding = &component.registry().at(s.suite.class_name);
-    if (s.prune_engaged) {
-        // Same plan the in-process scheduler builds: memoization stands
-        // down under a lockstep model (resumed runs skip the model leg),
-        // coverage pruning stays on.
-        mutation::PrunePlanOptions plan_options;
-        plan_options.memoize = s.engine.runner.model == nullptr ||
-                               !s.engine.runner.model->valid() ||
-                               !s.engine.oracle.use_model;
-        s.plan = mutation::build_prune_plan(
-            *s.runner, *s.binding, s.suite, std::move(coverage),
-            s.probe ? &*s.probe_runner : nullptr, s.probe ? &*s.probe : nullptr,
-            std::move(probe_coverage), plan_options);
-    }
+                                        s.in.suite, s.in.mutants);
+    s.context.emplace(registry, s.in.suite, s.in.probe_suite(), s.in.mutants,
+                      s.in.options.engine, config.prune);
     return out;
 }
 
-const BuiltinCampaignConfig& BuiltinCampaign::config() const noexcept {
-    return impl_->config;
-}
 const driver::TestSuite& BuiltinCampaign::suite() const noexcept {
-    return impl_->suite;
-}
-const std::vector<mutation::Mutant>& BuiltinCampaign::mutants() const noexcept {
-    return impl_->mutants;
+    return impl_->in.suite;
 }
 const std::string& BuiltinCampaign::fingerprint() const noexcept {
     return impl_->fingerprint;
@@ -293,46 +227,22 @@ const std::string& BuiltinCampaign::fingerprint() const noexcept {
 const std::vector<campaign::WorkItem>& BuiltinCampaign::items() const noexcept {
     return impl_->items;
 }
-const oracle::GoldenRecord& BuiltinCampaign::golden() const noexcept {
-    return impl_->golden;
-}
 bool BuiltinCampaign::baseline_clean() const noexcept {
-    return impl_->baseline_clean;
+    return impl_->context->golden().all_passed();
 }
 bool BuiltinCampaign::pruned() const noexcept {
-    return impl_->prune_engaged;
+    return impl_->context->pruned();
 }
 
 mutation::MutantOutcome BuiltinCampaign::evaluate(
     const std::string& mutant_id, mutation::PruneStats* stats) const {
-    const Impl& s = *impl_;
-    const mutation::Mutant* mutant = nullptr;
-    for (const auto& m : s.mutants) {
-        if (m.id() == mutant_id) {
-            mutant = &m;
-            break;
+    for (const auto& mutant : impl_->in.mutants) {
+        if (mutant.id() == mutant_id) {
+            return impl_->context->evaluate(mutant, stats);
         }
     }
-    if (mutant == nullptr) {
-        throw Error("unknown mutant '" + mutant_id +
-                    "' for component " + s.config.component);
-    }
-    if (s.prune_engaged) {
-        return mutation::evaluate_mutant_pruned(
-            *mutant, *s.runner, *s.binding, s.suite, s.golden,
-            s.probe ? &*s.probe_runner : nullptr,
-            s.probe ? &*s.probe : nullptr, s.probe_golden, s.plan, s.engine,
-            stats);
-    }
-    const mutation::MutationEngine::SuiteExecutor run_suite = [&s] {
-        return s.runner->run(s.suite);
-    };
-    mutation::MutationEngine::SuiteExecutor run_probe;
-    if (s.probe) {
-        run_probe = [&s] { return s.probe_runner->run(*s.probe); };
-    }
-    return mutation::evaluate_mutant(*mutant, run_suite, s.golden, run_probe,
-                                     s.probe_golden, s.engine);
+    throw Error("unknown mutant '" + mutant_id + "' for class " +
+                impl_->in.suite.class_name);
 }
 
 namespace {
@@ -357,18 +267,15 @@ public:
         mutation::PruneStats stats;
         const mutation::MutantOutcome outcome =
             campaign_->evaluate(*mutant_id, &stats);
-        const double wall = ms_since(t0);
-        // Result payload = the sandbox outcome codec (the merge decodes
-        // with sandbox::decode_outcome) plus the dispatch bookkeeping.
-        // Prune counters ride along only when the fast tier ran, so an
-        // unpruned reply carries no misleading zeros.
-        auto payload = obs::JsonObject::parse(sandbox::encode_outcome(
-            outcome, campaign_->pruned() ? &stats : nullptr));
-        if (!payload) throw Error("outcome did not round-trip");
-        payload->set("item", *item)
-            .set("mutant", *mutant_id)
-            .set("wall_ms", wall);
-        return *payload;
+        // Result payload = the campaign outcome codec plus the dispatch
+        // bookkeeping.  Prune counters ride along only when the fast
+        // tier ran, so an unpruned reply carries no misleading zeros.
+        obs::JsonObject payload;
+        payload.set("item", *item).set("mutant", *mutant_id);
+        campaign::encode_outcome(payload, outcome);
+        if (campaign_->pruned()) campaign::encode_prune_stats(payload, stats);
+        payload.set("wall_ms", ms_since(t0));
+        return payload;
     }
 
 private:
@@ -394,6 +301,44 @@ SessionFactory builtin_session_factory() {
         }
         return std::make_unique<BuiltinSession>(std::move(campaign));
     };
+}
+
+RemoteExecutor::RemoteExecutor(BuiltinCampaignConfig config,
+                               DispatchOptions options,
+                               std::function<void(const obs::JsonObject&)> observe)
+    : config_(std::move(config)),
+      options_(std::move(options)),
+      observe_(std::move(observe)) {
+    stats_.workers = options_.workers.size();
+}
+
+void RemoteExecutor::observe(const obs::JsonObject& event) {
+    if (observe_) observe_(event);
+}
+
+campaign::ExecutorStats RemoteExecutor::run(const Batch& batch) {
+    // A fully resumed campaign has nothing to ship: it must not need a
+    // reachable worker just to execute zero items.
+    if (batch.pending.empty()) return {};
+    DispatchOptions options = options_;
+    options.hello = make_hello(config_, batch.fingerprint);
+    options.expected_fingerprint = batch.fingerprint;
+    options.telemetry = batch.emit;
+    Coordinator coordinator(std::move(options));
+    stats_ = coordinator.run(batch.pending, [&](const campaign::WorkItem& item,
+                                                const obs::JsonObject& reply) {
+        campaign::ItemResult result;
+        const auto outcome = campaign::decode_outcome(reply);
+        result.outcome =  // a Result that does not decode: misbehaving worker
+            outcome ? *outcome : sandbox::outcome_from_termination("worker-exit:-3");
+        result.stats = campaign::decode_prune_stats(reply);
+        result.worker = reply.get_uint("worker").value_or(0);
+        result.wall_ms = reply.get_double("wall_ms").value_or(0.0);
+        batch.done(item, std::move(result));
+    });
+    campaign::ExecutorStats stats;
+    stats.workers = stats_.workers_connected;
+    return stats;
 }
 
 }  // namespace stc::serve

@@ -44,9 +44,6 @@ struct WorkerState {
     std::ptrdiff_t in_flight = kNoItem;  ///< position of the item sent, or -1
     Clock::time_point last_heard;
     bool ping_outstanding = false;
-    /// Protocol minor rev the worker announced in HelloAck (1 when it
-    /// predates the field) — gates the end-of-session telemetry drain.
-    std::uint64_t proto_minor = 1;
     /// Trace-clock time the in-flight Work was sent (the synthetic
     /// item-dispatch span's start).
     std::uint64_t sent_us = 0;
@@ -97,9 +94,9 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
     auto emit = [&](const obs::JsonObject& event) {
         if (options_.telemetry) options_.telemetry(event);
     };
-    // A Telemetry frame is one worker-streamed span or JSONL event
-    // (minor 2), or many of them newline-joined (minor 3 batching);
-    // each folds into the coordinator's own instruments.  Never fatal:
+    // A Telemetry frame carries one or more newline-joined worker-
+    // streamed spans or JSONL events; each folds into the coordinator's
+    // own instruments.  Never fatal:
     // a malformed payload is dropped, not a protocol error — telemetry
     // must not be able to kill a campaign.
     auto handle_telemetry_line = [&](std::string_view line) {
@@ -309,7 +306,6 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
                     return false;
                 }
                 state.phase = WorkerState::Phase::Ready;
-                state.proto_minor = ack->get_uint("proto_minor").value_or(1);
                 ++stats.workers_connected;
                 emit(obs::JsonObject()
                          .set("event", "worker-connect")
@@ -516,9 +512,9 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
     }
 
     // Campaign complete: a polite Shutdown ends each surviving session.
-    // A minor-2 worker flushes its tail telemetry (session-end event,
-    // the ended worker-session span, a final metrics snapshot) before
-    // closing, so when streaming was negotiated we keep reading its
+    // The worker flushes its tail telemetry (session-end event, the
+    // ended worker-session span, a final metrics snapshot) before
+    // closing, so when streaming was requested we keep reading its
     // connection until EOF — bounded, in case the worker wedges.
     const bool draining =
         tracing || options_.stream_telemetry;
@@ -529,7 +525,7 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
         if (state.phase == WorkerState::Phase::Dead) continue;
         (void)wire::write_message(state.fd.get(), wire::MessageType::Shutdown,
                                   "");
-        if (!draining || state.proto_minor < 2) {
+        if (!draining) {
             state.fd.close();
             continue;
         }

@@ -20,12 +20,15 @@
 #include <string>
 #include <vector>
 
+#include "stc/campaign/executor.h"
+#include "stc/campaign/scheduler.h"
 #include "stc/campaign/work_list.h"
 #include "stc/core/self_testable.h"
 #include "stc/driver/generator.h"
 #include "stc/mutation/engine.h"
 #include "stc/mutation/prune.h"
 #include "stc/obs/json.h"
+#include "stc/serve/dispatch.h"
 #include "stc/serve/worker.h"
 
 namespace stc::serve {
@@ -79,6 +82,29 @@ struct BuiltinCampaignConfig {
     bool prune = true;
 };
 
+/// A builtin campaign's inputs, derived from its config the one way
+/// every end of it does — `concat campaign`/`kill`/`dispatch` and each
+/// serve worker — so no two can drift apart: the component, its suite,
+/// the probe suite (a decorrelated seed and one extra case per
+/// transaction), the mutants, and the campaign options (seed, prune,
+/// lockstep model) that enter the fingerprint.
+struct BuiltinInputs {
+    BuiltinComponent holder;
+    driver::TestSuite suite;
+    std::optional<driver::TestSuite> probe;
+    std::vector<mutation::Mutant> mutants;
+    campaign::CampaignOptions options;
+
+    [[nodiscard]] const driver::TestSuite* probe_suite() const noexcept {
+        return probe ? &*probe : nullptr;
+    }
+};
+
+/// Build the inputs; std::nullopt with `*error` set on an unknown
+/// component or a model request for a class without a reference model.
+[[nodiscard]] std::optional<BuiltinInputs> make_builtin_inputs(
+    const BuiltinCampaignConfig& config, std::string* error);
+
 /// Render the Hello payload (docs/FORMATS.md §10).  `fingerprint` is
 /// the sender's own campaign fingerprint; the receiver re-derives and
 /// cross-checks it.
@@ -92,8 +118,9 @@ struct BuiltinCampaignConfig {
     const obs::JsonObject& hello, std::string* error);
 
 /// One fully reconstructed builtin campaign: component, suite, mutant
-/// population, golden baselines, fingerprint, work list.  Both sides
-/// of a dispatch open one of these from the same config.
+/// population, fingerprint, work list, and the campaign::
+/// ExecutionContext (golden baselines, prune plan) its items evaluate
+/// in.  A serve worker opens one per session from the Hello config.
 class BuiltinCampaign {
 public:
     ~BuiltinCampaign();
@@ -109,23 +136,17 @@ public:
         const BuiltinCampaignConfig& config, std::string* error,
         const obs::Context& obs = {});
 
-    [[nodiscard]] const BuiltinCampaignConfig& config() const noexcept;
     [[nodiscard]] const driver::TestSuite& suite() const noexcept;
-    [[nodiscard]] const std::vector<mutation::Mutant>& mutants() const noexcept;
     [[nodiscard]] const std::string& fingerprint() const noexcept;
     [[nodiscard]] const std::vector<campaign::WorkItem>& items() const noexcept;
-    [[nodiscard]] const oracle::GoldenRecord& golden() const noexcept;
     [[nodiscard]] bool baseline_clean() const noexcept;
     /// True when the fast tier is engaged for this campaign.
     [[nodiscard]] bool pruned() const noexcept;
 
-    /// Evaluate one mutant against the suite (and probe suite, when
-    /// configured) — the same evaluate_mutant call the in-process
-    /// scheduler makes, so fates match it exactly.  Throws stc::Error
-    /// on an unknown mutant id.  With the fast tier engaged the pruned
-    /// evaluator runs instead (same fates, enforced by
-    /// tests/prune_test.cpp); `stats`, when given, accumulates its
-    /// executed/pruned/memoized pair counters.
+    /// Evaluate one mutant through the ExecutionContext — the same call
+    /// the local executors make, so fates match them exactly.  Throws
+    /// stc::Error on an unknown mutant id.  `stats`, when given,
+    /// receives the pruned evaluator's pair counters.
     [[nodiscard]] mutation::MutantOutcome evaluate(
         const std::string& mutant_id,
         mutation::PruneStats* stats = nullptr) const;
@@ -140,5 +161,35 @@ private:
 /// the Hello, opens the campaign, rejects on config errors or a
 /// fingerprint mismatch, then serves evaluate() per Work item.
 [[nodiscard]] SessionFactory builtin_session_factory();
+
+/// The campaign executor of `concat dispatch`: ships the pending items
+/// to `concat serve` daemons through a Coordinator and decodes each
+/// Result with the campaign outcome codec.  The Hello is built from
+/// `config` plus the scheduler's fingerprint, which every HelloAck must
+/// echo.  Not local(): the coordinator prepares only the golden run.
+class RemoteExecutor final : public campaign::Executor {
+public:
+    /// `options.hello` and `options.expected_fingerprint` are filled in
+    /// per run; `options.telemetry` is the scheduler's sink.  `observe`,
+    /// when set, sees every campaign telemetry event (--progress).
+    RemoteExecutor(BuiltinCampaignConfig config, DispatchOptions options,
+                   std::function<void(const obs::JsonObject&)> observe = {});
+
+    [[nodiscard]] bool local() const override { return false; }
+    [[nodiscard]] std::size_t workers(std::size_t) const override {
+        return options_.workers.size();
+    }
+    void observe(const obs::JsonObject& event) override;
+    campaign::ExecutorStats run(const Batch& batch) override;
+
+    /// The last run's fleet statistics (all zero until a run ships items).
+    [[nodiscard]] const DispatchStats& stats() const noexcept { return stats_; }
+
+private:
+    BuiltinCampaignConfig config_;
+    DispatchOptions options_;
+    std::function<void(const obs::JsonObject&)> observe_;
+    DispatchStats stats_;
+};
 
 }  // namespace stc::serve

@@ -49,12 +49,12 @@ struct DispatchOptions {
     obs::Context obs;
     /// JSONL telemetry sink (worker-connect / worker-disconnect /
     /// worker-redispatch / item-start events); may be empty.  When
-    /// streaming is negotiated, the workers' own events (item-finish,
+    /// streaming is requested, the workers' own events (item-finish,
     /// worker-session, metrics-snapshot) arrive here too, making this
     /// one sink fleet-wide (docs/FORMATS.md §11).
     std::function<void(const obs::JsonObject&)> telemetry;
-    /// Ask minor-2 workers to stream their telemetry events back over
-    /// the socket (the `--telemetry-out` fleet aggregation).
+    /// Ask the workers to stream their telemetry events back over the
+    /// socket (the `--telemetry-out` fleet aggregation).
     bool stream_telemetry = false;
     /// Metrics-snapshot cadence requested from streaming workers
     /// (`--telemetry-interval-ms`); 0 = item-fate events only, no
@@ -74,7 +74,7 @@ struct DispatchStats {
 class Coordinator {
 public:
     /// Called once per merged result, in completion order; `result` is
-    /// the worker's Result payload (sandbox codec fields + "item" +
+    /// the worker's Result payload (outcome codec fields + "item" +
     /// "wall_ms" + "worker").  Slot the outcome by item.index.
     using ResultHandler = std::function<void(const campaign::WorkItem& item,
                                              const obs::JsonObject& result)>;

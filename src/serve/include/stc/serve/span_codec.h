@@ -12,8 +12,8 @@
 //
 // The wire format is unchanged — the line is ordinary JSON and any
 // peer may still parse it generically.  The reader only accepts this
-// exact field order; anything else (a minor-2 peer's "kind"-last
-// line, escaped strings, an "args" field — whose JSON-encoded value
+// exact field order; anything else (a "kind"-last line, escaped
+// strings, an "args" field — whose JSON-encoded value
 // always carries escaped quotes) returns nullopt and the caller falls
 // back to JsonObject::parse + trace_event_from_json.  The hot span
 // categories (method-call, test-case) never carry args, so the fast

@@ -12,8 +12,9 @@
 // The daemon is deliberately component-agnostic: everything that knows
 // about t-specs, suites and mutants arrives through the SessionFactory
 // (serve/builtin_host.h provides the factory for the built-in MFC
-// components).  A handshake the factory rejects — unknown component,
-// fingerprint mismatch — answers HelloAck{ok:false} and closes; a peer
+// components).  A handshake the daemon or factory rejects — another
+// protocol revision, unknown component, fingerprint mismatch — answers
+// HelloAck{ok:false} and closes; a peer
 // speaking the wrong protocol version or garbage gets an Error frame
 // naming the problem.  Either way the daemon survives and accepts the
 // next coordinator (unless `once`).
@@ -54,8 +55,8 @@ public:
 /// (the HelloAck rejection message).  `obs` is the observability
 /// context the session's executors should record into: the daemon's own
 /// instruments normally, or a per-session streaming tracer/metrics pair
-/// when the coordinator negotiated telemetry streaming (protocol minor
-/// 2, docs/FORMATS.md §11).
+/// when the coordinator requested telemetry streaming (docs/FORMATS.md
+/// §11).
 using SessionFactory = std::function<std::unique_ptr<Session>(
     const obs::JsonObject& hello, const obs::Context& obs,
     std::string* error)>;

@@ -42,18 +42,14 @@ inline constexpr char kMagic[4] = {'S', 'T', 'C', 'W'};
 /// header layout, the message-type table, or a payload schema.
 inline constexpr std::uint8_t kProtocolVersion = 1;
 
-/// Protocol *minor* revision, negotiated at the JSON level (Hello /
-/// HelloAck carry "proto_minor"; a peer that omits it is minor 1).
-/// Additions that old peers can safely ignore — new optional payload
-/// fields, new message types that are only sent once both sides have
-/// announced support — bump the minor, not kProtocolVersion.  Minor 2
-/// adds trace-context fields to Hello/Work and the Telemetry frame
-/// (docs/FORMATS.md §11).  Minor 3 batches Telemetry: one frame may
-/// carry many newline-joined JSON payloads (workers coalesce per work
-/// item instead of paying a write() syscall per span, the fix for the
-/// ~17x streaming-telemetry throughput cliff).  Batched frames are
-/// only ever sent to a peer that announced minor >= 3; toward a
-/// minor-2 peer the worker keeps emitting one payload per frame.
+/// Protocol revision within kProtocolVersion, checked at the JSON
+/// level: Hello carries "proto_minor" and a worker refuses (HelloAck
+/// ok:false) any Hello whose value is absent or differs — coordinator
+/// and worker are one binary, so there is nothing to negotiate.  Bump
+/// it on any change to a handshake or payload schema.  Revision 3:
+/// trace-context fields in Hello/Work, the Telemetry frame, and
+/// Telemetry batching (one frame carries many newline-joined JSON
+/// payloads, docs/FORMATS.md §11).
 inline constexpr std::uint64_t kProtocolMinor = 3;
 
 /// Fixed header size of a versioned message (magic + version + type +
@@ -61,9 +57,6 @@ inline constexpr std::uint64_t kProtocolMinor = 3;
 inline constexpr std::size_t kMessageHeaderSize = 10;
 
 /// Message types of protocol version 1 (docs/FORMATS.md §10).
-/// Telemetry arrived with minor rev 2: it is only ever sent to a peer
-/// that announced "proto_minor" >= 2 in the handshake, because a minor-1
-/// decoder treats type 9 as BadType and poisons the stream.
 enum class MessageType : std::uint8_t {
     Hello = 1,      ///< coordinator -> worker: campaign handshake
     HelloAck = 2,   ///< worker -> coordinator: accept / reject
@@ -73,7 +66,7 @@ enum class MessageType : std::uint8_t {
     Pong = 6,       ///< worker -> coordinator: keepalive answer
     Error = 7,      ///< either direction: fatal protocol/handshake error
     Shutdown = 8,   ///< coordinator -> worker: campaign complete, close
-    Telemetry = 9,  ///< worker -> coordinator: streamed obs event (minor 2)
+    Telemetry = 9,  ///< worker -> coordinator: streamed obs events
 };
 
 /// True for the types above — a received type outside the table is a

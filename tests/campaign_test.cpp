@@ -14,12 +14,12 @@
 #include <thread>
 #include <vector>
 
-#include "stc/campaign/jsonl.h"
 #include "stc/campaign/result_store.h"
 #include "stc/campaign/scheduler.h"
 #include "stc/campaign/seed.h"
-#include "stc/campaign/telemetry.h"
 #include "stc/campaign/thread_pool.h"
+#include "stc/obs/json.h"
+#include "stc/obs/jsonl_sink.h"
 #include "test_component.h"
 
 namespace stc::campaign {
@@ -52,14 +52,14 @@ TEST(Seed, HexIsFixedWidth) {
 // ------------------------------------------------------------------ jsonl
 
 TEST(Jsonl, RoundTripsEveryValueKind) {
-    JsonObject o;
+    obs::JsonObject o;
     o.set("s", std::string("hello"))
         .set("neg", static_cast<std::int64_t>(-42))
         .set("big", static_cast<std::uint64_t>(18446744073709551615ULL))
         .set("pi", 3.25)
         .set("yes", true)
         .set("no", false);
-    const auto parsed = JsonObject::parse(o.to_line());
+    const auto parsed = obs::JsonObject::parse(o.to_line());
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->get_string("s"), "hello");
     EXPECT_EQ(parsed->get_int("neg"), -42);
@@ -72,27 +72,27 @@ TEST(Jsonl, RoundTripsEveryValueKind) {
 }
 
 TEST(Jsonl, EscapesHostileStrings) {
-    JsonObject o;
+    obs::JsonObject o;
     const std::string hostile = "a\"b\\c\nd\te\x01f";
     o.set("k", hostile);
     const std::string line = o.to_line();
     EXPECT_EQ(line.find('\n'), std::string::npos);  // stays one line
-    const auto parsed = JsonObject::parse(line);
+    const auto parsed = obs::JsonObject::parse(line);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->get_string("k"), hostile);
 }
 
 TEST(Jsonl, RejectsMalformedLines) {
-    EXPECT_FALSE(JsonObject::parse("").has_value());
-    EXPECT_FALSE(JsonObject::parse("{\"a\":1").has_value());
-    EXPECT_FALSE(JsonObject::parse("{\"a\" 1}").has_value());
-    EXPECT_FALSE(JsonObject::parse("{\"a\":\"unterminated}").has_value());
-    EXPECT_FALSE(JsonObject::parse("{\"a\":1} trailing").has_value());
-    EXPECT_FALSE(JsonObject::parse("[1,2]").has_value());
+    EXPECT_FALSE(obs::JsonObject::parse("").has_value());
+    EXPECT_FALSE(obs::JsonObject::parse("{\"a\":1").has_value());
+    EXPECT_FALSE(obs::JsonObject::parse("{\"a\" 1}").has_value());
+    EXPECT_FALSE(obs::JsonObject::parse("{\"a\":\"unterminated}").has_value());
+    EXPECT_FALSE(obs::JsonObject::parse("{\"a\":1} trailing").has_value());
+    EXPECT_FALSE(obs::JsonObject::parse("[1,2]").has_value());
 }
 
 TEST(Jsonl, ToleratesNullByDroppingTheField) {
-    const auto parsed = JsonObject::parse("{\"a\":null,\"b\":2}");
+    const auto parsed = obs::JsonObject::parse("{\"a\":null,\"b\":2}");
     ASSERT_TRUE(parsed.has_value());
     EXPECT_FALSE(parsed->has("a"));
     EXPECT_EQ(parsed->get_uint("b"), 2u);
@@ -123,7 +123,7 @@ TEST(Jsonl, ItemRecordRoundTrips) {
 }
 
 TEST(Jsonl, ItemRecordRejectsMissingFields) {
-    JsonObject o;
+    obs::JsonObject o;
     o.set("key", "abc").set("fate", "killed");
     EXPECT_FALSE(ItemRecord::from_json(o).has_value());
 }
@@ -437,9 +437,9 @@ TEST_F(CampaignTest, TelemetryStreamIsWellFormedJsonl) {
     std::string line;
     std::size_t starts = 0, finishes = 0, campaign_events = 0;
     std::uint64_t expected_seq = 0;
-    std::optional<JsonObject> last;
+    std::optional<obs::JsonObject> last;
     while (std::getline(in, line)) {
-        const auto parsed = JsonObject::parse(line);
+        const auto parsed = obs::JsonObject::parse(line);
         ASSERT_TRUE(parsed.has_value()) << line;
         ASSERT_TRUE(parsed->get_string("event").has_value()) << line;
         EXPECT_EQ(parsed->get_uint("seq"), expected_seq++) << line;
@@ -500,7 +500,7 @@ TEST_F(CampaignTest, ResumedCampaignAppendsTelemetryInsteadOfTruncating) {
     std::string line;
     while (std::getline(in, line)) {
         ++total_lines;
-        const auto parsed = JsonObject::parse(line);
+        const auto parsed = obs::JsonObject::parse(line);
         ASSERT_TRUE(parsed.has_value()) << line;
         const auto event = parsed->get_string("event");
         if (event == "campaign-start") ++campaign_starts;
@@ -518,7 +518,7 @@ TEST_F(CampaignTest, ResumedCampaignAppendsTelemetryInsteadOfTruncating) {
     campaign_starts = 0;
     std::ifstream again(telemetry);
     while (std::getline(again, line)) {
-        const auto parsed = JsonObject::parse(line);
+        const auto parsed = obs::JsonObject::parse(line);
         ASSERT_TRUE(parsed.has_value()) << line;
         if (parsed->get_string("event") == "campaign-start") ++campaign_starts;
     }
@@ -573,16 +573,16 @@ TEST_F(CampaignTest, ObservabilityDoesNotChangeFatesAndRecordsSpans) {
 
 TEST_F(CampaignTest, TelemetrySinkToStreamIsShared) {
     std::ostringstream os;
-    TelemetrySink sink = TelemetrySink::to_stream(os);
-    TelemetrySink copy = sink;  // copies share the sequence counter
-    sink.emit(JsonObject().set("event", "a"));
-    copy.emit(JsonObject().set("event", "b"));
+    obs::JsonlSink sink = obs::JsonlSink::to_stream(os);
+    obs::JsonlSink copy = sink;  // copies share the sequence counter
+    sink.emit(obs::JsonObject().set("event", "a"));
+    copy.emit(obs::JsonObject().set("event", "b"));
     EXPECT_EQ(sink.count(), 2u);
     std::istringstream in(os.str());
     std::string line;
     std::uint64_t seq = 0;
     while (std::getline(in, line)) {
-        const auto parsed = JsonObject::parse(line);
+        const auto parsed = obs::JsonObject::parse(line);
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(parsed->get_uint("seq"), seq++);
     }

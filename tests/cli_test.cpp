@@ -11,6 +11,8 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "product_component.h"
 #include "stc/driver/runner.h"
@@ -709,6 +711,131 @@ TEST_F(CliTest, DispatchFailsCleanlyWhenNoWorkerIsReachable) {
     EXPECT_EQ(run("dispatch coblist --workers 127.0.0.1:1,127.0.0.1:2",
                   "/tmp/stc_cli_dispatch_dead.out"),
               1);
+}
+
+/// CLI tests against real `concat serve --listen 0 --once` daemons on
+/// loopback.  Every daemon started is killed at teardown, so a failed
+/// dispatch cannot leave one waiting for a session.
+class CliFleetTest : public CliTest {
+protected:
+    void TearDown() override {
+        for (const std::string& pid_file : pid_files_) {
+            const std::string pid = slurp(pid_file);
+            if (!pid.empty()) {
+                (void)std::system(("kill " + pid + " 2>/dev/null").c_str());
+            }
+            std::remove(pid_file.c_str());
+        }
+    }
+
+    /// Start one daemon; returns "127.0.0.1:PORT", or "" when it never
+    /// announced its port.
+    std::string start_daemon() {
+        const std::string base = scratch("daemon" + std::to_string(pid_files_.size()));
+        pid_files_.push_back(base + ".pid");
+        const std::string cmd = binary_ + " serve --listen 0 --once > " + base +
+                                ".log 2>&1 & echo $! > " + base + ".pid";
+        if (std::system(cmd.c_str()) != 0) return {};
+        const std::string marker = "listening on port ";
+        for (int tries = 0; tries < 100; ++tries) {
+            const std::string log = slurp(base + ".log");
+            const std::size_t at = log.find(marker);
+            if (at != std::string::npos && log.find('\n', at) != std::string::npos) {
+                return "127.0.0.1:" + std::to_string(std::stoi(
+                                          log.substr(at + marker.size())));
+            }
+            ::usleep(100 * 1000);
+        }
+        return {};
+    }
+
+    /// A process-unique scratch path.
+    static std::string scratch(const std::string& name) {
+        return "/tmp/stc_cli_fleet_" + std::to_string(getpid()) + "_" + name;
+    }
+
+    static std::size_t count(const std::string& text, const std::string& needle) {
+        std::size_t n = 0;
+        for (std::size_t at = text.find(needle); at != std::string::npos;
+             at = text.find(needle, at + 1)) {
+            ++n;
+        }
+        return n;
+    }
+
+    std::vector<std::string> pid_files_;
+};
+
+TEST_F(CliFleetTest, DispatchResumeAppendsTelemetryAcrossRuns) {
+    // FORMATS.md §5: a resumable campaign appends to its telemetry, so
+    // both generations of a resumed dispatch stay on record.
+    const std::string a = start_daemon();
+    const std::string b = start_daemon();
+    ASSERT_FALSE(a.empty() || b.empty());
+    const std::string store = scratch("resume.store.jsonl");
+    const std::string telemetry = scratch("resume.tel.jsonl");
+    std::remove(store.c_str());
+    std::remove(telemetry.c_str());
+    const std::string args = "dispatch coblist --workers " + a + "," + b +
+                             " --resume " + store + " --telemetry-out " +
+                             telemetry;
+    ASSERT_EQ(run(args + " -o " + scratch("first.txt")), 0);
+    ASSERT_EQ(run(args + " -o " + scratch("second.txt"), scratch("second.err")), 0);
+    EXPECT_NE(slurp(scratch("second.err")).find(" executed=0 "),
+              std::string::npos);
+    EXPECT_EQ(slurp(scratch("first.txt")), slurp(scratch("second.txt")));
+    const std::string events = slurp(telemetry);
+    EXPECT_EQ(count(events, "\"event\":\"campaign-start\""), 2u);
+    EXPECT_EQ(count(events, "\"event\":\"campaign-end\""), 2u);
+    for (const char* name : {"first.txt", "second.txt", "second.err"}) {
+        std::remove(scratch(name).c_str());
+    }
+    std::remove(store.c_str());
+    std::remove(telemetry.c_str());
+}
+
+TEST_F(CliFleetTest, StoresResumeAcrossDispatchAndIsolatedCampaign) {
+    // One store format for every executor: a dispatch store resumes
+    // under `campaign --isolate`, and a local store under `dispatch`,
+    // each executing nothing and reporting byte-identically.
+    const std::string a = start_daemon();
+    const std::string b = start_daemon();
+    ASSERT_FALSE(a.empty() || b.empty());
+    const std::string remote_store = scratch("remote.store.jsonl");
+    const std::string local_store = scratch("local.store.jsonl");
+    std::remove(remote_store.c_str());
+    std::remove(local_store.c_str());
+
+    ASSERT_EQ(run("dispatch coblist --workers " + a + "," + b + " --resume " +
+                  remote_store + " -o " + scratch("dispatched.txt")),
+              0);
+    ASSERT_EQ(run("campaign coblist --isolate --jobs 2 --resume " + remote_store +
+                      " -o " + scratch("isolated.txt"),
+                  scratch("isolated.err")),
+              0);
+    EXPECT_NE(slurp(scratch("isolated.err")).find(" executed=0 "),
+              std::string::npos);
+    EXPECT_EQ(slurp(scratch("dispatched.txt")), slurp(scratch("isolated.txt")));
+
+    ASSERT_EQ(run("campaign coblist --jobs 2 --resume " + local_store + " -o " +
+                  scratch("local.txt")),
+              0);
+    // Nothing is left to ship, so no daemon needs to be reachable.
+    ASSERT_EQ(run("dispatch coblist --workers 127.0.0.1:1 --resume " +
+                      local_store + " -o " + scratch("redispatched.txt"),
+                  scratch("redispatched.err")),
+              0);
+    EXPECT_NE(slurp(scratch("redispatched.err")).find(" executed=0 "),
+              std::string::npos);
+    EXPECT_EQ(slurp(scratch("local.txt")), slurp(scratch("redispatched.txt")));
+    EXPECT_EQ(slurp(scratch("local.txt")), slurp(scratch("dispatched.txt")));
+
+    for (const char* name : {"dispatched.txt", "isolated.txt", "isolated.err",
+                             "local.txt", "redispatched.txt", "redispatched.err"}) {
+        std::remove(scratch(name).c_str());
+    }
+    std::remove(remote_store.c_str());
+    std::remove(local_store.c_str());
 }
 
 TEST_F(CliTest, StatsAggregatesMultipleTelemetryFiles) {

@@ -11,10 +11,12 @@
 // faults were contained (see .github/workflows/ci.yml).
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <iostream>
 #include <string>
 
 #include "stc/campaign/scheduler.h"
+#include "stc/sandbox/executor.h"
 #include "hostile_component.h"
 
 // Sanitizer runtimes intercept the real SIGSEGV and need far more
@@ -42,12 +44,13 @@ int main(int argc, char** argv) {
 
     campaign::CampaignOptions options;
     options.jobs = 2;
-    options.isolate = true;
+    bool isolate = true;
     // The deadline must leave the Gobble allocation bomb enough CPU to
     // actually reach RLIMIT_AS on a loaded single-core runner; 600ms is
     // too tight and misclassifies the bomb as a timeout.
-    options.sandbox.timeout_ms = 2000;
-    options.sandbox.rlimit_as_mb = 512;
+    sandbox::SandboxLimits limits;
+    limits.timeout_ms = 2000;
+    limits.rlimit_as_mb = 512;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> std::uint64_t {
@@ -60,11 +63,11 @@ int main(int argc, char** argv) {
         if (arg == "--jobs") {
             options.jobs = static_cast<std::size_t>(value());
         } else if (arg == "--timeout-ms") {
-            options.sandbox.timeout_ms = value();
+            limits.timeout_ms = value();
         } else if (arg == "--rlimit-as") {
-            options.sandbox.rlimit_as_mb = value();
+            limits.rlimit_as_mb = value();
         } else if (arg == "--no-isolate") {
-            options.isolate = false;
+            isolate = false;
         } else if (arg == "--store") {
             if (i + 1 >= argc) {
                 std::cerr << "missing value for --store\n";
@@ -77,7 +80,8 @@ int main(int argc, char** argv) {
         }
     }
 
-    if (!testing::hostile_faults_enabled() && options.isolate) {
+    if (isolate) options.executor = std::make_shared<sandbox::SandboxExecutor>(limits);
+    if (!testing::hostile_faults_enabled() && isolate) {
         std::cerr << "warning: STC_HOSTILE_FAULTS is not set; faults will "
                      "throw instead of crashing\n";
     }

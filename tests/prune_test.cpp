@@ -9,12 +9,12 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "stc/campaign/jsonl.h"
 #include "stc/campaign/scheduler.h"
 #include "stc/core/self_testable.h"
 #include "stc/mfc/component.h"
@@ -23,6 +23,8 @@
 #include "stc/mutation/engine.h"
 #include "stc/mutation/prune.h"
 #include "stc/mutation/report.h"
+#include "stc/obs/json.h"
+#include "stc/sandbox/executor.h"
 #include "stc/support/error.h"
 #include "test_component.h"
 
@@ -290,7 +292,7 @@ StoredFates read_store_fates(const std::string& path) {
     std::ifstream in(path);
     std::string line;
     while (std::getline(in, line)) {
-        const auto object = campaign::JsonObject::parse(line);
+        const auto object = obs::JsonObject::parse(line);
         if (!object) continue;
         const auto record = campaign::ItemRecord::from_json(*object);
         if (!record) continue;
@@ -353,7 +355,7 @@ TEST_P(PruneDifferential, PrunedFatesReportsAndStoresMatchUnpruned) {
         options.seed = seed;
         options.jobs = jobs;
         options.prune = prune;
-        options.isolate = isolate;
+        if (isolate) options.executor = std::make_shared<sandbox::SandboxExecutor>();
         options.store_path = store_path;
         const campaign::CampaignScheduler scheduler(registry, options);
         return scheduler.run(suite, mutants, &probe);

@@ -23,6 +23,7 @@
 
 #include "stc/campaign/scheduler.h"
 #include "stc/sandbox/codec.h"
+#include "stc/sandbox/executor.h"
 #include "stc/sandbox/ipc.h"
 #include "stc/sandbox/limits.h"
 #include "stc/sandbox/worker_pool.h"
@@ -413,8 +414,9 @@ TEST_F(IsolatedCampaignTest, BenignFatesMatchInProcessAtSeveralJobCounts) {
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
         campaign::CampaignOptions isolated_options;
         isolated_options.jobs = jobs;
-        isolated_options.isolate = true;
-        isolated_options.sandbox.timeout_ms = 20000;
+        sandbox::SandboxLimits limits;
+        limits.timeout_ms = 20000;
+        isolated_options.executor = std::make_shared<SandboxExecutor>(limits);
         const auto isolated = run_campaign(isolated_options);
 
         expect_same_outcomes(baseline.run, isolated.run);
@@ -430,7 +432,7 @@ TEST_F(IsolatedCampaignTest, BenignFatesMatchInProcessAtSeveralJobCounts) {
 
 TEST_F(IsolatedCampaignTest, IsolationRejectsTheShrinker) {
     campaign::CampaignOptions options;
-    options.isolate = true;
+    options.executor = std::make_shared<SandboxExecutor>();
     options.shrink_corpus_dir = "/tmp/stc_isolate_shrink_corpus";
     options.spec = &spec_;
     EXPECT_THROW((void)run_campaign(options), ContractError);
@@ -456,13 +458,14 @@ protected:
     [[nodiscard]] campaign::CampaignOptions isolated_options() const {
         campaign::CampaignOptions options;
         options.jobs = 2;
-        options.isolate = true;
         // Generous deadline: the Gobble allocation bomb needs a few
         // hundred ms of CPU to reach RLIMIT_AS, and on a single-core
         // box two workers share that CPU — the deadline must not fire
         // before the resource limit does.
-        options.sandbox.timeout_ms = 2000;
-        options.sandbox.rlimit_as_mb = 512;
+        sandbox::SandboxLimits limits;
+        limits.timeout_ms = 2000;
+        limits.rlimit_as_mb = 512;
+        options.executor = std::make_shared<SandboxExecutor>(limits);
         return options;
     }
 

@@ -6,22 +6,29 @@
 // determinism contract `concat dispatch` rests on.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "shop_targets.h"
+#include "stc/campaign/scheduler.h"
 #include "stc/campaign/work_list.h"
 #include "stc/mutation/engine.h"
 #include "stc/tfm/coverage.h"
 #include "stc/obs/json.h"
 #include "stc/obs/trace.h"
+#include "stc/sandbox/executor.h"
 #include "stc/serve/builtin_host.h"
 #include "stc/serve/dispatch.h"
 #include "stc/serve/socket.h"
@@ -321,8 +328,10 @@ TEST(ServeDispatch, SilentWorkerIsDeclaredDeadByKeepalive) {
 TEST(ServeWorker, SecondHelloIsAProtocolError) {
     DaemonHandle daemon(toy_factory("toy-fp"));
     const Fd conn = connect_to(daemon.endpoint());
-    const std::string hello =
-        obs::JsonObject().set("component", "toy").to_line();
+    const std::string hello = obs::JsonObject()
+                                  .set("component", "toy")
+                                  .set("proto_minor", wire::kProtocolMinor)
+                                  .to_line();
 
     ASSERT_TRUE(
         wire::write_message(conn.get(), wire::MessageType::Hello, hello));
@@ -438,6 +447,146 @@ TEST(ServeBuiltinHost, DispatchedFatesMatchLocalEvaluation) {
     }
 }
 
+// ---------------------------------------------------- executor parity
+
+/// One campaign run's observable results: the store as key -> record,
+/// each item-finish event by item index and the campaign-end event —
+/// values with the scheduling-dependent fields stripped, plus the key
+/// sets minus only the documented scheduling-only keys (FORMATS.md §5).
+struct ParityRun {
+    mutation::MutationRun run;
+    std::map<std::string, std::string> store;
+    std::map<std::uint64_t, std::string> finishes;
+    std::map<std::uint64_t, std::set<std::string>> finish_keys;
+    std::string end;
+    std::set<std::string> end_keys;
+};
+
+const std::set<std::string> kSchedulingOnlyKeys = {"queue", "stolen", "steals",
+                                                   "respawns", "sandbox"};
+
+std::string without_scheduling_values(const obs::JsonObject& event) {
+    static const std::set<std::string> kVarying = {"worker", "workers",
+                                                   "wall_ms", "seq"};
+    obs::JsonObject kept;
+    for (const auto& [key, value] : event.fields()) {
+        if (kSchedulingOnlyKeys.count(key) != 0 || kVarying.count(key) != 0) {
+            continue;
+        }
+        std::visit([&, k = key](const auto& v) { kept.set(k, v); }, value);
+    }
+    return kept.to_line();
+}
+
+std::set<std::string> key_set(const obs::JsonObject& event) {
+    std::set<std::string> keys;
+    for (const auto& field : event.fields()) {
+        if (kSchedulingOnlyKeys.count(field.first) == 0) keys.insert(field.first);
+    }
+    return keys;
+}
+
+TEST(ExecutorParity, PoolSandboxAndRemoteAgreeOnFatesStoresAndTelemetry) {
+    // One CObList campaign, probe suite and fast tier on, through every
+    // executor: the pool at 1 and 4 jobs, the fork-server, and a
+    // loopback fleet of two serve daemons.
+    BuiltinCampaignConfig config;
+    config.component = "coblist";
+    config.probe = true;
+    config.prune = true;
+    std::string error;
+    const auto inputs = make_builtin_inputs(config, &error);
+    ASSERT_TRUE(inputs.has_value()) << error;
+    const std::vector<mutation::Mutant>& mutants = inputs->mutants;
+
+    const std::string dir = ::testing::TempDir() + "stc_parity_" +
+                            std::to_string(::getpid()) + "_";
+    const auto run = [&](const std::string& name, std::size_t jobs,
+                         std::shared_ptr<campaign::Executor> executor) {
+        campaign::CampaignOptions options = inputs->options;
+        options.jobs = jobs;
+        options.store_path = dir + name + ".store.jsonl";
+        options.telemetry_path = dir + name + ".tel.jsonl";
+        options.executor = std::move(executor);
+        std::remove(options.store_path.c_str());
+        const campaign::CampaignScheduler scheduler(
+            inputs->holder.component->registry(), options);
+        ParityRun out;
+        out.run = scheduler.run(inputs->suite, mutants, inputs->probe_suite()).run;
+        std::ifstream store(options.store_path);
+        std::string line;
+        std::getline(store, line);  // header
+        while (std::getline(store, line)) {
+            const auto record = obs::JsonObject::parse(line);
+            EXPECT_TRUE(record.has_value()) << line;
+            if (!record) continue;
+            out.store[record->get_string("key").value_or("")] =
+                without_scheduling_values(*record);
+        }
+        std::ifstream telemetry(options.telemetry_path);
+        while (std::getline(telemetry, line)) {
+            const auto event = obs::JsonObject::parse(line);
+            EXPECT_TRUE(event.has_value()) << line;
+            if (!event) continue;
+            const std::string kind = event->get_string("event").value_or("");
+            const std::uint64_t item = event->get_uint("item").value_or(0);
+            if (kind == "item-finish") {
+                out.finishes[item] = without_scheduling_values(*event);
+                out.finish_keys[item] = key_set(*event);
+            } else if (kind == "campaign-end") {
+                out.end = without_scheduling_values(*event);
+                out.end_keys = key_set(*event);
+            }
+        }
+        std::remove(options.store_path.c_str());
+        std::remove(options.telemetry_path.c_str());
+        return out;
+    };
+
+    const ParityRun reference = run("pool1", 1, nullptr);
+    ASSERT_EQ(reference.run.outcomes.size(), mutants.size());
+    ASSERT_EQ(reference.store.size(), mutants.size());
+    ASSERT_EQ(reference.finishes.size(), mutants.size());
+    // The fast tier ran and its counters reached the telemetry.
+    EXPECT_NE(reference.finishes.begin()->second.find("\"executed_pairs\""),
+              std::string::npos);
+
+    std::vector<std::pair<std::string, ParityRun>> others;
+    others.emplace_back("pool4", run("pool4", 4, nullptr));
+    others.emplace_back("sandbox",
+                        run("sandbox", 2,
+                            std::make_shared<sandbox::SandboxExecutor>()));
+    {
+        DaemonHandle d1(builtin_session_factory());
+        DaemonHandle d2(builtin_session_factory());
+        DispatchOptions fleet;
+        fleet.workers = {d1.endpoint(), d2.endpoint()};
+        others.emplace_back(
+            "remote", run("remote", 1,
+                          std::make_shared<RemoteExecutor>(config, fleet)));
+    }
+
+    for (const auto& [name, other] : others) {
+        ASSERT_EQ(other.run.outcomes.size(), mutants.size()) << name;
+        for (std::size_t i = 0; i < mutants.size(); ++i) {
+            const mutation::MutantOutcome& a = reference.run.outcomes[i];
+            const mutation::MutantOutcome& b = other.run.outcomes[i];
+            EXPECT_EQ(b.mutant, &mutants[i]) << name << " " << i;
+            EXPECT_EQ(a.fate, b.fate) << name << " " << mutants[i].id();
+            EXPECT_EQ(a.reason, b.reason) << name << " " << mutants[i].id();
+            EXPECT_EQ(a.hit_by_suite, b.hit_by_suite) << name << " " << i;
+            EXPECT_EQ(a.killed_by_probe, b.killed_by_probe) << name << " " << i;
+            EXPECT_EQ(a.model_only, b.model_only) << name << " " << i;
+        }
+        EXPECT_EQ(other.run.baseline_clean, reference.run.baseline_clean) << name;
+        EXPECT_EQ(other.store, reference.store) << name;
+        EXPECT_EQ(other.finishes, reference.finishes) << name;
+        EXPECT_EQ(other.finish_keys, reference.finish_keys) << name;
+        EXPECT_EQ(other.end, reference.end) << name;
+        EXPECT_EQ(other.end_keys, reference.end_keys) << name;
+    }
+}
+
 // ------------------------------------------- distributed trace streaming
 
 TEST(ServeDispatch, TwoWorkerSessionsMergeIntoOneCollisionFreeTrace) {
@@ -540,53 +689,40 @@ TEST(ServeDispatch, TwoWorkerSessionsMergeIntoOneCollisionFreeTrace) {
     EXPECT_EQ(kinds["metrics-snapshot"], 2u);
 }
 
-TEST(ServeWorker, Minor1CoordinatorNegotiatesNoStreaming) {
-    // A coordinator that never announces proto_minor (a minor-1 peer)
-    // must get the legacy behavior: no Telemetry frames on the socket,
-    // ack still carries the worker's minor for newer coordinators.
-    DaemonHandle daemon(toy_factory("toy-fp"));
-    const Fd fd = connect_to(daemon.endpoint());
-    ASSERT_TRUE(
-        wire::write_message(fd.get(), wire::MessageType::Hello,
-                            obs::JsonObject()
-                                .set("component", "toy")
-                                .set("trace", std::string("00000000000000ff"))
-                                .set("telemetry_interval_ms", std::uint64_t{0})
-                                .to_line()));
+TEST(ServeWorker, OtherProtocolRevisionIsRejectedAtHello) {
+    // Coordinator and worker are one binary, so a Hello from any other
+    // revision — or from a peer that names none — is refused outright:
+    // HelloAck{ok:false} naming both revisions, then the session closes
+    // without ever consulting the session factory.
+    const std::uint64_t other = wire::kProtocolMinor + 1;
+    for (const std::optional<std::uint64_t> minor :
+         {std::optional<std::uint64_t>{}, std::optional<std::uint64_t>{other}}) {
+        DaemonHandle daemon(toy_factory("toy-fp"));
+        const Fd fd = connect_to(daemon.endpoint());
+        obs::JsonObject hello;
+        hello.set("component", "toy");
+        if (minor) hello.set("proto_minor", *minor);
+        ASSERT_TRUE(wire::write_message(fd.get(), wire::MessageType::Hello,
+                                        hello.to_line()));
 
-    wire::Decoder decoder;
-    auto next_message = [&]() {
-        wire::Message message;
-        for (;;) {
-            const auto status = decoder.next(&message);
-            if (status == wire::Decoder::Status::Ok) return message;
-            EXPECT_EQ(status, wire::Decoder::Status::NeedMore);
-            char chunk[4096];
-            const ssize_t got = ::read(fd.get(), chunk, sizeof chunk);
-            if (got <= 0) {
-                ADD_FAILURE() << "connection closed mid-read";
-                return message;
-            }
-            decoder.feed(chunk, static_cast<std::size_t>(got));
-        }
-    };
-
-    const wire::Message ack = next_message();
-    ASSERT_EQ(ack.type, wire::MessageType::HelloAck);
-    const auto payload = obs::JsonObject::parse(ack.payload);
-    ASSERT_TRUE(payload.has_value());
-    EXPECT_EQ(payload->get_uint("proto_minor"),
-              std::optional<std::uint64_t>(wire::kProtocolMinor));
-
-    ASSERT_TRUE(wire::write_message(
-        fd.get(), wire::MessageType::Work,
-        obs::JsonObject().set("item", std::uint64_t{0}).set("mutant", "m").to_line()));
-    const wire::Message result = next_message();
-    // Streaming fields were present in the Hello but the peer is
-    // minor 1, so the very next frame is the Result — no Telemetry
-    // frame precedes it (a minor-1 decoder would reject type 9).
-    EXPECT_EQ(result.type, wire::MessageType::Result);
-    ASSERT_TRUE(wire::write_message(fd.get(), wire::MessageType::Shutdown, ""));
+        const auto ack = wire::read_message(fd.get());
+        ASSERT_TRUE(ack.has_value());
+        ASSERT_EQ(ack->type, wire::MessageType::HelloAck);
+        const auto payload = obs::JsonObject::parse(ack->payload);
+        ASSERT_TRUE(payload.has_value());
+        EXPECT_EQ(payload->get_bool("ok"), std::optional<bool>(false));
+        const std::string error = payload->get_string("error").value_or("");
+        EXPECT_NE(error.find("protocol revision"), std::string::npos) << error;
+        EXPECT_NE(error.find(minor ? std::to_string(other) : "(none)"),
+                  std::string::npos)
+            << error;
+        EXPECT_NE(error.find(std::to_string(wire::kProtocolMinor)),
+                  std::string::npos)
+            << error;
+        EXPECT_FALSE(payload->has("fingerprint"));
+        // The worker hung up: no session, nothing more on the socket.
+        EXPECT_FALSE(wire::read_message(fd.get()).has_value());
+    }
 }
 
 // --- Streamed-span codec ---------------------------------------------------

@@ -107,7 +107,7 @@ TEST(WireMessage, TruncationAtEveryByteOffsetIsNeedMore) {
 }
 
 TEST(WireMessage, TelemetryFrameTruncationAtEveryByteOffsetIsNeedMore) {
-    // The minor-2 streaming frame gets the same torn-input guarantee as
+    // The streaming Telemetry frame gets the same torn-input guarantee as
     // Work: a worker SIGKILLed mid-telemetry-push must leave the
     // coordinator's decoder parked in NeedMore, not crashed or confused.
     const std::string payload =

@@ -42,7 +42,6 @@
 #include "stc/assembly/product.h"
 #include "stc/campaign/scheduler.h"
 #include "stc/campaign/seed.h"
-#include "stc/campaign/telemetry.h"
 #include "stc/codegen/driver_codegen.h"
 #include "stc/core/self_testable.h"
 #include "stc/driver/generator.h"
@@ -58,9 +57,9 @@
 #include "stc/mutation/report.h"
 #include "stc/obs/stats.h"
 #include "stc/sandbox/codec.h"
+#include "stc/sandbox/executor.h"
 #include "stc/sandbox/worker_pool.h"
 #include "stc/serve/builtin_host.h"
-#include "stc/serve/dispatch.h"
 #include "stc/serve/worker.h"
 #include "stc/support/error.h"
 #include "stc/support/strings.h"
@@ -862,48 +861,61 @@ int check_assembly_flag(const std::string& command, const Options& options,
     return 0;
 }
 
+/// The campaign config a builtin-target command line names — the same
+/// inputs a dispatch ships to its workers in the Hello.
+serve::BuiltinCampaignConfig builtin_config(const Options& options) {
+    serve::BuiltinCampaignConfig config;
+    config.component = options.tspec_path;
+    config.generator = options.generator;
+    config.probe = options.probe;
+    config.model = options.model;
+    config.prune = options.prune;
+    return config;
+}
+
 // `concat campaign <component>`: run an interface-mutation campaign
 // over a registered target — the built-in MFC components (coblist,
 // sortable), the intraclass wallet, or the shop assembly product
-// (--assembly) — sharded across --jobs workers.  The report (stdout or
-// -o) lists one line per mutant in enumeration order plus the Table 2/3
-// aggregation — byte-identical for any --jobs value, tracing on or off;
+// (--assembly) — sharded across --jobs workers, or across forked
+// sandbox workers under --isolate.  The report (stdout or -o) lists one
+// line per mutant in enumeration order plus the Table 2/3 aggregation —
+// byte-identical for any --jobs value, tracing on or off;
 // scheduling-dependent detail (worker ids, wall times, queue depths)
 // goes to the --telemetry-out JSONL stream, spans to --trace-out, and
 // timing stats to stderr.
+//
+// `concat dispatch <component> --workers host:port[,...]` is the same
+// campaign with the items shipped to `concat serve` daemons
+// (serve::RemoteExecutor): the scheduler shards them deterministically,
+// merges the results into per-item slots and renders the same report —
+// byte-identical to the local run for any worker count, completion
+// order, or mid-run worker death.  Both share the store format, so
+// either can --resume the other's store.
 int cmd_campaign(const Options& options) {
-    const std::string which = options.tspec_path;
-    const serve::BuiltinTarget* target = serve::find_builtin_target(which);
-    if (target == nullptr) {
-        std::cerr << "concat campaign: unknown component '" << which
-                  << "' (expected one of: "
-                  << support::join(serve::builtin_target_names(), ", ")
-                  << ")\n";
+    const std::string& command = options.command;
+    const bool remote = command == "dispatch";
+    if (remote && !options.workers) {
+        std::cerr << "concat dispatch: --workers is required\n";
         return 2;
     }
-    if (const int rc = check_assembly_flag("campaign", options, *target)) {
-        return rc;
+    const serve::BuiltinCampaignConfig config = builtin_config(options);
+    if (const serve::BuiltinTarget* target =
+            serve::find_builtin_target(config.component)) {
+        if (const int rc = check_assembly_flag(command, options, *target)) {
+            return rc;
+        }
     }
-
-    const serve::BuiltinComponent holder = target->make_component();
-    const core::SelfTestableComponent& component = *holder.component;
-
-    const driver::TestSuite suite = component.generate_tests(options.generator);
-
-    std::optional<driver::TestSuite> probe;
-    if (options.probe) {
-        driver::GeneratorOptions probe_options = options.generator;
-        probe_options.seed = options.generator.seed ^ 0x9e3779b97f4a7c15ULL;
-        probe_options.cases_per_transaction =
-            options.generator.cases_per_transaction + 1;
-        probe = component.generate_tests(probe_options);
+    std::string error;
+    auto inputs = serve::make_builtin_inputs(config, &error);
+    if (!inputs) {
+        std::cerr << "concat " << command << ": " << error << "\n";
+        return 2;
     }
+    const core::SelfTestableComponent& component = *inputs->holder.component;
+    const driver::TestSuite& suite = inputs->suite;
 
-    const auto mutants = target->mutants();
-
-    campaign::CampaignOptions campaign_options;
+    campaign::CampaignOptions& campaign_options = inputs->options;
     campaign_options.jobs = options.jobs;
-    campaign_options.seed = options.generator.seed;
     campaign_options.obs = options.obs;
     if (options.store_path) campaign_options.store_path = *options.store_path;
     if (options.telemetry_path) {
@@ -915,44 +927,96 @@ int cmd_campaign(const Options& options) {
         campaign_options.spec = &component.spec();
         // Null for targets without pointer-typed parameters (the shop
         // assembly): persist_entry then skips recompletion on replay.
-        campaign_options.completions = holder.completions;
+        campaign_options.completions = inputs->holder.completions;
     }
     if (options.isolate) {
-        campaign_options.isolate = true;
-        campaign_options.sandbox.timeout_ms = options.timeout_ms;
-        campaign_options.sandbox.rlimit_as_mb = options.rlimit_as_mb;
+        sandbox::SandboxLimits limits;
+        limits.timeout_ms = options.timeout_ms;
+        limits.rlimit_as_mb = options.rlimit_as_mb;
+        campaign_options.executor = std::make_shared<sandbox::SandboxExecutor>(limits);
     }
-    campaign_options.prune = options.prune;
-    if (options.model) {
-        // Lockstep differential oracle: the runner carries the model as
-        // a passive side channel (no promotion), so verdicts, reports
-        // and hit tracking are untouched and fates stay byte-identical
-        // across --jobs and --isolate; only the oracle reads the
-        // divergence strings.
-        const auto model_binding = resolve_model("campaign", suite.class_name);
-        if (!model_binding) return 2;
-        campaign_options.engine.runner.model = *model_binding;
+
+    // dispatch --progress folds every telemetry event — the scheduler's
+    // own and the workers' streamed copies — into a live TelemetryStats
+    // and re-renders a compact snapshot to stderr at the telemetry
+    // interval.  stderr, so the stdout report stays byte-identical to
+    // the local run.
+    obs::TelemetryStats progress_stats;
+    const auto progress_t0 = std::chrono::steady_clock::now();
+    auto last_progress = progress_t0;
+    const auto render_progress = [&] {
+        progress_stats.sort_items();
+        progress_stats.render_follow(
+            std::cerr, std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - progress_t0)
+                           .count());
+    };
+    std::shared_ptr<serve::RemoteExecutor> fleet;
+    if (remote) {
+        serve::DispatchOptions dispatch_options;
+        dispatch_options.workers = serve::parse_endpoints(*options.workers);
+        dispatch_options.keepalive_ms = static_cast<int>(options.keepalive_ms);
+        dispatch_options.dead_after_ms = static_cast<int>(options.dead_after_ms);
+        dispatch_options.obs = options.obs;
+        // Event streaming is requested whenever the coordinator has
+        // somewhere to put the workers' events: a --telemetry-out sink
+        // (the fleet-wide JSONL) or a --progress view.  Span streaming
+        // rides on --trace-out alone (the Hello "trace" field, set by
+        // the coordinator when its tracer is enabled).
+        dispatch_options.stream_telemetry =
+            options.telemetry_path.has_value() || options.progress;
+        dispatch_options.telemetry_interval_ms =
+            static_cast<int>(options.telemetry_interval_ms);
+        std::function<void(const obs::JsonObject&)> observe;
+        if (options.progress) {
+            observe = [&](const obs::JsonObject& event) {
+                progress_stats.absorb_event(event);
+                const auto now = std::chrono::steady_clock::now();
+                if (now - last_progress <
+                    std::chrono::milliseconds(
+                        std::max<std::uint64_t>(options.telemetry_interval_ms, 1))) {
+                    return;
+                }
+                last_progress = now;
+                render_progress();
+            };
+        }
+        fleet = std::make_shared<serve::RemoteExecutor>(
+            config, std::move(dispatch_options), std::move(observe));
+        campaign_options.executor = fleet;
     }
 
     const campaign::CampaignScheduler scheduler(component.registry(),
                                                 campaign_options);
     const auto result =
-        scheduler.run(suite, mutants, probe ? &*probe : nullptr);
+        scheduler.run(suite, inputs->mutants, inputs->probe_suite());
+    if (options.progress) render_progress();  // the closing snapshot
 
     std::ostringstream report;
     mutation::render_campaign_report(report, result.run, suite.class_name,
                                      suite.size(), options.generator.seed);
 
     // Scheduling-dependent numbers stay out of the report so that
-    // --jobs N leaves it byte-identical.
-    std::cerr << "campaign stats: campaign=" << result.fingerprint
-              << " workers=" << result.stats.workers
-              << " executed=" << result.stats.executed
-              << " resumed=" << result.stats.resumed
-              << " steals=" << result.stats.steals
-              << " respawns=" << result.stats.respawns
-              << " shrunk=" << result.stats.shrunk
-              << " wall_ms=" << result.stats.wall_ms << "\n";
+    // --jobs N, --isolate and dispatch leave it byte-identical.
+    if (fleet) {
+        const serve::DispatchStats& stats = fleet->stats();
+        std::cerr << "dispatch stats: campaign=" << result.fingerprint
+                  << " workers=" << stats.workers_connected << "/"
+                  << stats.workers << " executed=" << stats.executed
+                  << " resumed=" << result.stats.resumed
+                  << " redispatched=" << stats.redispatched
+                  << " disconnects=" << stats.disconnects
+                  << " wall_ms=" << stats.wall_ms << "\n";
+    } else {
+        std::cerr << "campaign stats: campaign=" << result.fingerprint
+                  << " workers=" << result.stats.workers
+                  << " executed=" << result.stats.executed
+                  << " resumed=" << result.stats.resumed
+                  << " steals=" << result.stats.steals
+                  << " respawns=" << result.stats.respawns
+                  << " shrunk=" << result.stats.shrunk
+                  << " wall_ms=" << result.stats.wall_ms << "\n";
+    }
     if (result.stats.pruned) {
         std::cerr << "prune stats: executed_pairs="
                   << result.stats.executed_pairs
@@ -973,25 +1037,18 @@ int cmd_campaign(const Options& options) {
 // stats` reflect the new score.  The report is a pure function of
 // (component, store, seed, budget): byte-identical across --jobs.
 int cmd_kill(const Options& options) {
-    const std::string which = options.tspec_path;
-    const serve::BuiltinTarget* target = serve::find_builtin_target(which);
-    if (target == nullptr) {
-        std::cerr << "concat kill: unknown component '" << which
-                  << "' (expected one of: "
-                  << support::join(serve::builtin_target_names(), ", ")
-                  << ")\n";
-        return 2;
-    }
     // Killer synthesis pairs one class's TFM with one reference model;
     // an assembly product has neither, so both directions of the
     // campaign/dispatch --assembly gating collapse to a rejection here.
-    if (target->assembly) {
+    const std::string which = options.tspec_path;
+    const serve::BuiltinTarget* target = serve::find_builtin_target(which);
+    if (target != nullptr && target->assembly) {
         std::cerr << "concat kill: '" << which
                   << "' is an assembly product; killer synthesis runs on "
                      "single-class components only\n";
         return 2;
     }
-    if (options.assembly) {
+    if (target != nullptr && options.assembly) {
         std::cerr << "concat kill: '" << which
                   << "' is a single-class component; drop --assembly\n";
         return 2;
@@ -1007,38 +1064,24 @@ int cmd_kill(const Options& options) {
         return 2;
     }
 
-    const serve::BuiltinComponent holder = target->make_component();
-    const core::SelfTestableComponent& component = *holder.component;
-
     // Re-derive the campaign identity exactly as `concat campaign` did:
     // same suite, same probe derivation, same oracle/runner/prune
     // configuration — a mismatch means the store answers a different
     // campaign's question and must not be "raised".
-    const driver::TestSuite suite = component.generate_tests(options.generator);
-    std::optional<driver::TestSuite> probe;
-    if (options.probe) {
-        driver::GeneratorOptions probe_options = options.generator;
-        probe_options.seed = options.generator.seed ^ 0x9e3779b97f4a7c15ULL;
-        probe_options.cases_per_transaction =
-            options.generator.cases_per_transaction + 1;
-        probe = component.generate_tests(probe_options);
+    std::string error;
+    const auto inputs =
+        serve::make_builtin_inputs(builtin_config(options), &error);
+    if (!inputs) {
+        std::cerr << "concat kill: " << error << "\n";
+        return 2;
     }
-    const auto mutants = target->mutants();
-
-    campaign::CampaignOptions campaign_options;
-    campaign_options.seed = options.generator.seed;
-    campaign_options.prune = options.prune;
-    const driver::ModelBinding* model_binding = nullptr;
-    if (options.model) {
-        const auto resolved = resolve_model("kill", suite.class_name);
-        if (!resolved) return 2;
-        model_binding = *resolved;
-        campaign_options.engine.runner.model = model_binding;
-    }
-    const campaign::CampaignScheduler scheduler(component.registry(),
-                                                campaign_options);
+    const core::SelfTestableComponent& component = *inputs->holder.component;
+    const driver::TestSuite& suite = inputs->suite;
+    const driver::ModelBinding* model_binding =
+        inputs->options.engine.runner.model;
     const std::string fingerprint =
-        scheduler.fingerprint(suite, mutants, probe ? &*probe : nullptr);
+        campaign::CampaignScheduler(component.registry(), inputs->options)
+            .fingerprint(suite, inputs->mutants, inputs->probe_suite());
 
     std::string store_error;
     auto peek = campaign::peek_store(*options.store_path, &store_error);
@@ -1067,8 +1110,8 @@ int cmd_kill(const Options& options) {
     kill::KillContext context;
     context.spec = &component.spec();
     context.registry = &component.registry();
-    context.completions = holder.completions;
-    context.mutants = &mutants;
+    context.completions = inputs->holder.completions;
+    context.mutants = &inputs->mutants;
 
     kill::KillOptions kill_options;
     kill_options.seed = options.generator.seed;
@@ -1084,7 +1127,7 @@ int cmd_kill(const Options& options) {
     kill_options.search.runner.model = model_binding;
     kill_options.search.obs = options.obs;
     if (options.telemetry_path) {
-        kill_options.telemetry = campaign::TelemetrySink::to_file(
+        kill_options.telemetry = obs::JsonlSink::to_file(
             *options.telemetry_path, obs::JsonlSink::OpenMode::Truncate);
     }
 
@@ -1274,8 +1317,7 @@ int cmd_fuzz(const Options& options) {
     }
 
     if (options.telemetry_path) {
-        campaign::TelemetrySink sink =
-            campaign::TelemetrySink::to_file(*options.telemetry_path);
+        obs::JsonlSink sink = obs::JsonlSink::to_file(*options.telemetry_path);
         sink.emit(obs::JsonObject{}
                       .set("event", "fuzz-start")
                       .set("class", class_name)
@@ -1582,9 +1624,9 @@ int cmd_stats(const Options& options) {
 // carries no campaign flags: the coordinator's Hello handshake is the
 // single source of campaign configuration, cross-checked by fingerprint.
 int cmd_serve(const Options& options) {
-    std::optional<campaign::TelemetrySink> sink;
+    std::optional<obs::JsonlSink> sink;
     if (options.telemetry_path) {
-        sink = campaign::TelemetrySink::to_file(*options.telemetry_path);
+        sink = obs::JsonlSink::to_file(*options.telemetry_path);
     }
     serve::ServeOptions serve_options;
     serve_options.port = static_cast<std::uint16_t>(options.listen_port);
@@ -1603,261 +1645,6 @@ int cmd_serve(const Options& options) {
     daemon.serve();
     std::cerr << "serve stats: sessions=" << daemon.sessions() << "\n";
     return 0;
-}
-
-// `concat dispatch <coblist|sortable> --workers host:port[,...]`: the
-// coordinator of the campaign service.  Builds the same campaign a
-// local `concat campaign` would (suite, mutants, golden baselines,
-// fingerprint), shards the work list deterministically across the
-// daemons, merges their Result streams into per-item slots, and renders
-// the report through the same renderer — so the stdout report is
-// byte-identical to the single-process run for any worker count, any
-// completion order, and any mid-run worker death (survivors re-execute
-// the lost items to identical fates).  --resume shares the campaign
-// store format: a dispatch can resume a local run and vice versa.
-int cmd_dispatch(const Options& options) {
-    if (!options.workers) {
-        std::cerr << "concat dispatch: --workers is required\n";
-        return 2;
-    }
-    // Unknown names fall through to open(), whose error lists the
-    // registered targets.
-    if (const serve::BuiltinTarget* target =
-            serve::find_builtin_target(options.tspec_path)) {
-        if (const int rc = check_assembly_flag("dispatch", options, *target)) {
-            return rc;
-        }
-    }
-    serve::BuiltinCampaignConfig config;
-    config.component = options.tspec_path;
-    config.generator = options.generator;
-    config.probe = options.probe;
-    config.model = options.model;
-    config.prune = options.prune;
-
-    std::string error;
-    const auto host = serve::BuiltinCampaign::open(config, &error, options.obs);
-    if (!host) {
-        std::cerr << "concat dispatch: " << error << "\n";
-        return 2;
-    }
-    const driver::TestSuite& suite = host->suite();
-    const std::vector<mutation::Mutant>& mutants = host->mutants();
-    const std::string& fingerprint = host->fingerprint();
-
-    const std::vector<serve::Endpoint> endpoints =
-        serve::parse_endpoints(*options.workers);
-
-    std::optional<campaign::TelemetrySink> sink;
-    if (options.telemetry_path) {
-        sink = campaign::TelemetrySink::to_file(*options.telemetry_path);
-    }
-    // --progress folds every telemetry event — the coordinator's own
-    // and the workers' streamed copies — into a live TelemetryStats and
-    // re-renders a compact snapshot to stderr at the telemetry
-    // interval.  stderr, so the stdout report stays byte-identical to
-    // the local run.
-    obs::TelemetryStats progress_stats;
-    const auto progress_t0 = std::chrono::steady_clock::now();
-    auto last_progress = progress_t0;
-    auto render_progress = [&] {
-        progress_stats.sort_items();
-        progress_stats.render_follow(
-            std::cerr, std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - progress_t0)
-                           .count());
-    };
-    auto emit_event = [&](const obs::JsonObject& event) {
-        if (sink) sink->emit(event);
-        if (!options.progress) return;
-        progress_stats.absorb_event(event);
-        const auto now = std::chrono::steady_clock::now();
-        if (now - last_progress < std::chrono::milliseconds(std::max<
-                std::uint64_t>(options.telemetry_interval_ms, 1))) {
-            return;
-        }
-        last_progress = now;
-        render_progress();
-    };
-
-    emit_event(obs::JsonObject()
-                   .set("event", "campaign-start")
-                   .set("campaign", fingerprint)
-                   .set("class", suite.class_name)
-                   .set("seed", options.generator.seed)
-                   .set("jobs", static_cast<std::uint64_t>(endpoints.size()))
-                   .set("mutants", static_cast<std::uint64_t>(mutants.size()))
-                   .set("cases", static_cast<std::uint64_t>(suite.cases.size()))
-                   .set("probe", options.probe)
-                   .set("model", options.model)
-                   .set("prune", host->pruned())
-                   .set("baseline_clean", host->baseline_clean()));
-
-    // Resume pass, same contract as the in-process scheduler: restore
-    // finished items from the store, ship only the rest.
-    std::optional<campaign::ResultStore> store;
-    if (options.store_path) store.emplace(*options.store_path, fingerprint);
-
-    std::vector<mutation::MutantOutcome> outcomes(mutants.size());
-    std::vector<campaign::WorkItem> pending;
-    std::size_t resumed = 0;
-    for (const campaign::WorkItem& item : host->items()) {
-        outcomes[item.index].mutant = &mutants[item.index];
-        const campaign::ItemRecord* record =
-            store ? store->find(item.key) : nullptr;
-        mutation::MutantOutcome outcome;
-        if (record == nullptr ||
-            !campaign::restore_outcome(*record, &outcome)) {
-            pending.push_back(item);
-            continue;
-        }
-        outcome.mutant = &mutants[item.index];
-        outcomes[item.index] = outcome;
-        ++resumed;
-        emit_event(obs::JsonObject()
-                       .set("event", "item-resumed")
-                       .set("item", static_cast<std::uint64_t>(item.index))
-                       .set("mutant", item.mutant_id)
-                       .set("fate", record->fate)
-                       .set("reason", record->reason)
-                       .set("model_only", record->model_only));
-    }
-
-    serve::DispatchOptions dispatch_options;
-    dispatch_options.workers = endpoints;
-    dispatch_options.hello = serve::make_hello(config, fingerprint);
-    dispatch_options.expected_fingerprint = fingerprint;
-    dispatch_options.keepalive_ms = static_cast<int>(options.keepalive_ms);
-    dispatch_options.dead_after_ms = static_cast<int>(options.dead_after_ms);
-    dispatch_options.obs = options.obs;
-    // Event streaming is negotiated whenever the coordinator has
-    // somewhere to put the workers' events: a --telemetry-out sink (the
-    // fleet-wide JSONL) or a --progress view.  Span streaming rides on
-    // --trace-out alone (the Hello "trace" field, set by the
-    // coordinator when its tracer is enabled).
-    dispatch_options.stream_telemetry = sink.has_value() || options.progress;
-    dispatch_options.telemetry_interval_ms =
-        static_cast<int>(options.telemetry_interval_ms);
-    if (sink || options.progress) {
-        dispatch_options.telemetry = emit_event;
-    }
-
-    mutation::PruneStats prune_totals;
-    auto merge_result = [&](const campaign::WorkItem& item,
-                            const obs::JsonObject& result) {
-        // The Result payload is the sandbox outcome codec plus
-        // item/wall_ms/worker — decode_outcome tolerates the extras.
-        mutation::MutantOutcome outcome =
-            sandbox::decode_outcome(result.to_line())
-                .value_or(
-                    sandbox::outcome_from_termination("worker-exit:-3"));
-        outcome.mutant = &mutants[item.index];
-        const double wall_ms = result.get_double("wall_ms").value_or(0.0);
-        outcomes[item.index] = outcome;
-        prune_totals += sandbox::decode_outcome_stats(result.to_line());
-        obs::JsonObject finish;
-        finish.set("event", "item-finish")
-            .set("item", static_cast<std::uint64_t>(item.index))
-            .set("mutant", item.mutant_id)
-            .set("worker", result.get_uint("worker").value_or(0))
-            .set("fate", mutation::to_string(outcome.fate))
-            .set("reason", oracle::to_string(outcome.reason))
-            .set("hit", outcome.hit_by_suite)
-            .set("probe_kill", outcome.killed_by_probe)
-            .set("model_only", outcome.model_only)
-            .set("shrunk", false)
-            .set("item_seed", item.item_seed)
-            .set("wall_ms", wall_ms);
-        if (!outcome.sandbox.empty()) {
-            finish.set("sandbox", outcome.sandbox);
-        }
-        emit_event(finish);
-        if (store) {
-            campaign::ItemRecord record;
-            record.key = item.key;
-            record.mutant_id = item.mutant_id;
-            record.item_index = item.index;
-            record.fate = mutation::to_string(outcome.fate);
-            record.reason = oracle::to_string(outcome.reason);
-            record.hit_by_suite = outcome.hit_by_suite;
-            record.killed_by_probe = outcome.killed_by_probe;
-            record.model_only = outcome.model_only;
-            record.item_seed = item.item_seed;
-            record.wall_ms = wall_ms;
-            record.sandbox = outcome.sandbox;
-            store->append(record);
-        }
-    };
-
-    // A fully-resumed dispatch has nothing to ship: don't require a
-    // reachable worker just to execute zero items.
-    serve::DispatchStats stats;
-    stats.workers = endpoints.size();
-    if (!pending.empty()) {
-        serve::Coordinator coordinator(std::move(dispatch_options));
-        stats = coordinator.run(pending, merge_result);
-    }
-
-    mutation::MutationRun run;
-    run.outcomes = std::move(outcomes);
-    run.golden = host->golden();
-    run.baseline_clean = host->baseline_clean();
-
-    for (const oracle::KillReason reason : oracle::kAllKillReasons) {
-        if (reason == oracle::KillReason::None) continue;
-        emit_event(obs::JsonObject()
-                       .set("event", "kill-reason")
-                       .set("reason", oracle::to_string(reason))
-                       .set("kills", static_cast<std::uint64_t>(
-                                         run.kills_by(reason))));
-    }
-    emit_event(
-        obs::JsonObject()
-            .set("event", "campaign-end")
-            .set("campaign", fingerprint)
-            .set("items", static_cast<std::uint64_t>(host->items().size()))
-            .set("executed", static_cast<std::uint64_t>(stats.executed))
-            .set("resumed", static_cast<std::uint64_t>(resumed))
-            .set("killed", static_cast<std::uint64_t>(run.killed()))
-            .set("killed_model_only",
-                 static_cast<std::uint64_t>(run.kills_model_only()))
-            .set("equivalent", static_cast<std::uint64_t>(run.equivalent()))
-            .set("not_covered", static_cast<std::uint64_t>(run.not_covered()))
-            .set("score", run.score())
-            .set("workers",
-                 static_cast<std::uint64_t>(stats.workers_connected))
-            .set("respawns", std::uint64_t{0})
-            .set("pruned", host->pruned())
-            .set("executed_pairs", prune_totals.executed_pairs)
-            .set("pruned_pairs", prune_totals.pruned_pairs)
-            .set("decided_pairs", prune_totals.decided_pairs)
-            .set("memoized_pairs", prune_totals.memoized_pairs)
-            .set("memoized_calls", prune_totals.memoized_calls)
-            .set("wall_ms", stats.wall_ms));
-    if (options.progress) render_progress();  // the closing snapshot
-
-    std::ostringstream report;
-    mutation::render_campaign_report(report, run, suite.class_name,
-                                     suite.size(), options.generator.seed);
-
-    // Scheduling-dependent numbers stay on stderr, exactly like
-    // `concat campaign`, so the report byte-matches the local run.
-    std::cerr << "dispatch stats: campaign=" << fingerprint
-              << " workers=" << stats.workers_connected << "/" << stats.workers
-              << " executed=" << stats.executed << " resumed=" << resumed
-              << " redispatched=" << stats.redispatched
-              << " disconnects=" << stats.disconnects
-              << " wall_ms=" << stats.wall_ms << "\n";
-    if (host->pruned()) {
-        std::cerr << "prune stats: executed_pairs="
-                  << prune_totals.executed_pairs
-                  << " pruned_pairs=" << prune_totals.pruned_pairs
-                  << " decided_pairs=" << prune_totals.decided_pairs
-                  << " memoized_pairs=" << prune_totals.memoized_pairs
-                  << " memoized_calls=" << prune_totals.memoized_calls << "\n";
-    }
-
-    return emit(options, report.str());
 }
 
 /// Write the --trace-out / --metrics-out artifacts collected during the
@@ -1906,7 +1693,7 @@ int dispatch(const Options& options) {
     if (options.command == "shrink") return cmd_shrink(options);
     if (options.command == "stats") return cmd_stats(options);
     if (options.command == "serve") return cmd_serve(options);
-    if (options.command == "dispatch") return cmd_dispatch(options);
+    if (options.command == "dispatch") return cmd_campaign(options);
 
     const auto spec = tspec::parse_tspec(read_file(options.tspec_path));
 
