@@ -106,14 +106,10 @@ struct CampaignStats {
     /// unless the executor forks).
     std::size_t respawns = 0;
     double wall_ms = 0.0;      ///< item-execution phase only
-    /// Fast-tier accounting (all zero when pruning was not engaged).
-    bool pruned = false;            ///< the fast tier was engaged
-    std::uint64_t executed_pairs = 0;  ///< (mutant, case) pairs run
-    std::uint64_t pruned_pairs = 0;    ///< pairs skipped via the coverage index
-    std::uint64_t decided_pairs = 0;   ///< covering pairs skipped once the
-                                       ///< verdict was decided
-    std::uint64_t memoized_pairs = 0;  ///< executed pairs resumed mid-case
-    std::uint64_t memoized_calls = 0;  ///< body calls those resumes skipped
+    bool pruned = false;  ///< the fast tier was engaged
+    /// Fast-tier accounting summed over the executed items (all zero
+    /// when pruning was not engaged).
+    mutation::PruneStats pairs;
 };
 
 struct CampaignResult {

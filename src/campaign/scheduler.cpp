@@ -298,14 +298,13 @@ CampaignResult CampaignScheduler::run(
     // it touches is per-item, atomic, or internally locked.
     std::atomic<std::size_t> shrunk_count{0};
     std::mutex totals_mutex;
-    mutation::PruneStats totals;
     const Executor::Done complete = [&](const WorkItem& item, ItemResult result) {
         mutation::MutantOutcome& outcome = outcomes[item.index];
         outcome = std::move(result.outcome);
         outcome.mutant = &mutants[item.index];
         {
             const std::lock_guard<std::mutex> lock(totals_mutex);
-            totals += result.stats;
+            out.stats.pairs += result.stats;
         }
         bool shrunk = false;
         if (shrink_kills && outcome.fate == mutation::MutantFate::Killed) {
@@ -354,11 +353,6 @@ CampaignResult CampaignScheduler::run(
     out.stats.respawns = executed.respawns;
     out.stats.shrunk = shrunk_count.load();
     out.stats.pruned = context.pruned();
-    out.stats.executed_pairs = totals.executed_pairs;
-    out.stats.pruned_pairs = totals.pruned_pairs;
-    out.stats.decided_pairs = totals.decided_pairs;
-    out.stats.memoized_pairs = totals.memoized_pairs;
-    out.stats.memoized_calls = totals.memoized_calls;
     out.run.outcomes = std::move(outcomes);
 
     const obs::Metrics& metrics = options_.obs.metrics;
@@ -370,11 +364,12 @@ CampaignResult CampaignScheduler::run(
     metrics.add("campaign.respawns", out.stats.respawns);
     metrics.add("campaign.shrunk", out.stats.shrunk);
     if (out.stats.pruned) {
-        metrics.add("campaign.executed_pairs", totals.executed_pairs);
-        metrics.add("campaign.pruned_pairs", totals.pruned_pairs);
-        metrics.add("campaign.decided_pairs", totals.decided_pairs);
-        metrics.add("campaign.memoized_pairs", totals.memoized_pairs);
-        metrics.add("campaign.memoized_calls", totals.memoized_calls);
+        const mutation::PruneStats& pairs = out.stats.pairs;
+        metrics.add("campaign.executed_pairs", pairs.executed_pairs);
+        metrics.add("campaign.pruned_pairs", pairs.pruned_pairs);
+        metrics.add("campaign.decided_pairs", pairs.decided_pairs);
+        metrics.add("campaign.memoized_pairs", pairs.memoized_pairs);
+        metrics.add("campaign.memoized_calls", pairs.memoized_calls);
     }
 
     // One kill-reason declaration per kind at campaign end, so `concat
@@ -403,7 +398,7 @@ CampaignResult CampaignScheduler::run(
         .set("steals", out.stats.steals)
         .set("respawns", static_cast<std::uint64_t>(out.stats.respawns))
         .set("pruned", out.stats.pruned);
-    encode_prune_stats(end, totals);
+    encode_prune_stats(end, out.stats.pairs);
     end.set("wall_ms", out.stats.wall_ms);
     emit(end);
     return out;

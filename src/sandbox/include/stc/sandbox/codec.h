@@ -1,5 +1,5 @@
-// Payload encoding above the frame layer (ipc.h): what the sandbox
-// actually ships between orchestrator and worker.
+// Payload encoding above the frame layer (stc::wire raw frames): what
+// the sandbox actually ships between orchestrator and worker.
 //
 // Two payload schemas, both one flat JSON object per frame
 // (obs::JsonObject, docs/FORMATS.md §8):

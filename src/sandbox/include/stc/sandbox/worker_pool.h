@@ -1,14 +1,15 @@
 // Fork-based sandbox worker pool (the isolated execution engine behind
 // `concat campaign --isolate` and `concat fuzz --isolate`).
 //
-// The pool pre-forks N persistent workers.  Each worker loops
-// "read request frame, run the job closure, write reply frame"
-// (ipc.h); the parent runs a single-threaded poll() event loop that
-// dispatches payloads to idle workers, enforces per-item wall-clock
-// deadlines (SIGKILL escalation), decodes every child death
+// The pool forks up to N persistent workers.  Each worker loops
+// "read request frame, run the job closure, write reply frame" over
+// stc::wire raw frames; the parent runs a single-threaded poll() event
+// loop that dispatches payloads to idle workers, enforces per-item
+// wall-clock deadlines (SIGKILL escalation), decodes every child death
 // (limits.h), respawns the worker, and reports exactly one TaskResult
 // per payload.  A crashing, hanging, or allocation-bombing job kills
-// only its worker — never the run.
+// only its worker — never the run.  Workers outlive run(): the next
+// run reuses them, and the pool's destructor shuts them down.
 //
 // Why not fork from the work-stealing thread pool?  fork() in a
 // multithreaded process clones only the calling thread; any lock held
@@ -67,7 +68,7 @@ struct PoolOptions {
     /// Metrics/trace instrumentation (sandbox.* counters, worker spans).
     obs::Context obs;
     /// Worker lifecycle callback (telemetry bridge).  Runs on the
-    /// parent thread.
+    /// parent thread, also from ~WorkerPool, so it must not throw.
     std::function<void(const WorkerEvent&)> on_event;
     /// Called when payload `item` is handed to worker `worker` —
     /// the isolated twin of the thread pool's item-start event.
@@ -102,6 +103,8 @@ struct PoolStats {
 class WorkerPool {
 public:
     WorkerPool(Job job, PoolOptions options);
+    /// Closes every live worker's request pipe and reaps it, emitting
+    /// one worker-exit event (empty detail) per worker.
     ~WorkerPool();
 
     WorkerPool(const WorkerPool&) = delete;
@@ -110,7 +113,8 @@ public:
     /// Execute every payload in a sandbox worker.  `on_result` fires on
     /// the parent thread exactly once per payload, in completion order
     /// (callers needing deterministic output must slot results by
-    /// index).  Returns when all payloads have a result.
+    /// index).  Returns when all payloads have a result; the workers
+    /// stay alive for the next run.
     void run(const std::vector<std::string>& payloads,
              const std::function<void(std::size_t index, TaskResult)>&
                  on_result);
@@ -124,25 +128,21 @@ private:
 
 /// One persistent sandbox worker with a synchronous request/reply
 /// interface — the fuzz-loop flavour of the pool, where the caller
-/// needs each verdict before choosing the next input.  A dead worker is
-/// respawned on the next call; only the call that killed it reports a
-/// non-Ok result.
+/// needs each verdict before choosing the next input.  It is a
+/// one-worker WorkerPool running one payload per call: a dead worker is
+/// respawned on the next call, and only the call that killed it
+/// reports a non-Ok result.
 class SandboxRunner {
 public:
     SandboxRunner(Job job, SandboxLimits limits,
                   std::function<void(const WorkerEvent&)> on_event = {});
-    ~SandboxRunner();
-
-    SandboxRunner(const SandboxRunner&) = delete;
-    SandboxRunner& operator=(const SandboxRunner&) = delete;
 
     [[nodiscard]] TaskResult call(const std::string& payload);
 
     [[nodiscard]] const PoolStats& stats() const noexcept;
 
 private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
+    WorkerPool pool_;
 };
 
 }  // namespace stc::sandbox

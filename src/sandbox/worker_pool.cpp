@@ -11,7 +11,7 @@
 #include <csignal>
 #include <utility>
 
-#include "stc/sandbox/ipc.h"
+#include "stc/wire/frame.h"
 
 namespace stc::sandbox {
 
@@ -47,7 +47,8 @@ struct Worker {
     pid_t pid = -1;
     int req_fd = -1;   ///< parent writes requests here
     int resp_fd = -1;  ///< parent reads replies here (nonblocking)
-    FrameBuffer buf;
+    wire::RawFrameBuffer buf;
+    bool ever_spawned = false;  ///< a later fork into this slot is a respawn
     bool busy = false;
     bool deadline_killed = false;
     std::size_t item = 0;
@@ -59,7 +60,7 @@ struct Worker {
 
 [[noreturn]] void child_main(const Job& job, int req_read, int resp_write) {
     for (;;) {
-        auto request = read_frame(req_read);
+        auto request = wire::read_raw_frame(req_read);
         if (!request) ::_exit(0);  // parent closed the request pipe
         std::string reply;
         try {
@@ -67,7 +68,9 @@ struct Worker {
         } catch (...) {
             ::_exit(kWorkerFailureExit);
         }
-        if (!write_frame(resp_write, reply)) ::_exit(kWorkerFailureExit);
+        if (!wire::write_raw_frame(resp_write, reply)) {
+            ::_exit(kWorkerFailureExit);
+        }
     }
 }
 
@@ -87,7 +90,7 @@ void close_fd(int& fd) noexcept {
 /// ends (so their EOFs stay meaningful), installs the rlimit fences,
 /// and enters the job loop; it never returns.
 bool spawn_worker(Worker& slot, const Job& job, const SandboxLimits& limits,
-                  const std::vector<Worker>* siblings) {
+                  const std::vector<Worker>& siblings) {
     int req[2];
     int resp[2];
     if (::pipe(req) != 0) return false;
@@ -107,12 +110,10 @@ bool spawn_worker(Worker& slot, const Job& job, const SandboxLimits& limits,
     if (pid == 0) {
         ::close(req[1]);
         ::close(resp[0]);
-        if (siblings != nullptr) {
-            for (const Worker& sibling : *siblings) {
-                if (&sibling == &slot) continue;
-                if (sibling.req_fd >= 0) ::close(sibling.req_fd);
-                if (sibling.resp_fd >= 0) ::close(sibling.resp_fd);
-            }
+        for (const Worker& sibling : siblings) {
+            if (&sibling == &slot) continue;
+            if (sibling.req_fd >= 0) ::close(sibling.req_fd);
+            if (sibling.resp_fd >= 0) ::close(sibling.resp_fd);
         }
         apply_limits_in_child(limits);
         child_main(job, req[0], resp[1]);
@@ -168,16 +169,18 @@ ReadStatus drain(Worker& worker) {
     }
 }
 
-/// Shared per-impl bookkeeping for the pool and the single runner.
-struct PoolCore {
+}  // namespace
+
+struct WorkerPool::Impl {
     Job job;
-    SandboxLimits limits;
-    obs::Context obs;
-    std::function<void(const WorkerEvent&)> on_event;
+    PoolOptions options;
+    /// Grows to the widest run so far; live workers persist across runs.
+    std::vector<Worker> workers;
     PoolStats stats;
 
     void emit(WorkerEventKind kind, std::size_t slot, pid_t pid,
               std::string detail) {
+        const obs::Context& obs = options.obs;
         if (obs.metrics.enabled()) {
             obs.metrics.add(std::string("sandbox.") + to_string(kind));
         }
@@ -190,13 +193,13 @@ struct PoolCore {
                                          std::move(args));
             obs.tracer.end(std::move(span));
         }
-        if (on_event) {
+        if (options.on_event) {
             WorkerEvent event;
             event.kind = kind;
             event.worker = slot;
             event.pid = static_cast<std::int64_t>(pid);
             event.detail = std::move(detail);
-            on_event(event);
+            options.on_event(event);
         }
     }
 
@@ -208,78 +211,70 @@ struct PoolCore {
             case ExitKind::ResourceLimit: ++stats.resource_limits; break;
             case ExitKind::WorkerExit: ++stats.worker_exits; break;
         }
-        if (obs.metrics.enabled() && exit.kind != ExitKind::Ok) {
-            obs.metrics.add(std::string("sandbox.outcome.") +
-                            to_string(exit.kind));
+        if (options.obs.metrics.enabled() && exit.kind != ExitKind::Ok) {
+            options.obs.metrics.add(std::string("sandbox.outcome.") +
+                                    to_string(exit.kind));
         }
     }
 
-    bool spawn(Worker& slot, std::size_t ordinal,
-               const std::vector<Worker>* siblings) {
-        const bool respawn = ordinal_seen(ordinal);
-        if (!spawn_worker(slot, job, limits, siblings)) return false;
+    bool spawn(std::size_t slot) {
+        Worker& worker = workers[slot];
+        if (!spawn_worker(worker, job, options.limits, workers)) return false;
         ++stats.spawned;
-        if (respawn) ++stats.respawned;
-        emit(WorkerEventKind::Spawn, ordinal, slot.pid, "");
+        if (worker.ever_spawned) ++stats.respawned;
+        worker.ever_spawned = true;
+        emit(WorkerEventKind::Spawn, slot, worker.pid, "");
         return true;
     }
-
-    bool ordinal_seen(std::size_t ordinal) {
-        if (ordinal < seen_.size() && seen_[ordinal]) return true;
-        if (ordinal >= seen_.size()) seen_.resize(ordinal + 1, false);
-        seen_[ordinal] = true;
-        return false;
-    }
-
-private:
-    std::vector<bool> seen_;
-};
-
-}  // namespace
-
-struct WorkerPool::Impl {
-    PoolCore core;
-    std::function<void(std::size_t, std::size_t)> on_dispatch;
-    std::size_t configured_workers = 1;
-    std::vector<Worker> workers;
 };
 
 WorkerPool::WorkerPool(Job job, PoolOptions options)
     : impl_(std::make_unique<Impl>()) {
     ignore_sigpipe_once();
-    impl_->core.job = std::move(job);
-    impl_->core.limits = options.limits;
-    impl_->core.obs = options.obs;
-    impl_->core.on_event = std::move(options.on_event);
-    impl_->on_dispatch = std::move(options.on_dispatch);
-    impl_->configured_workers = std::max<std::size_t>(1, options.workers);
+    impl_->job = std::move(job);
+    impl_->options = std::move(options);
 }
 
+// Orderly shutdown: closing the request pipes EOFs every idle child out
+// of its request read, so they _exit(0).
 WorkerPool::~WorkerPool() {
     if (impl_ == nullptr) return;
     for (std::size_t i = 0; i < impl_->workers.size(); ++i) {
         Worker& worker = impl_->workers[i];
         if (!worker.alive()) continue;
         close_fd(worker.req_fd);
+        const pid_t pid = worker.pid;
         (void)reap_worker(worker);
+        impl_->emit(WorkerEventKind::Exit, i, pid, "");
     }
 }
 
-const PoolStats& WorkerPool::stats() const noexcept {
-    return impl_->core.stats;
-}
+const PoolStats& WorkerPool::stats() const noexcept { return impl_->stats; }
 
 void WorkerPool::run(
     const std::vector<std::string>& payloads,
     const std::function<void(std::size_t, TaskResult)>& on_result) {
     const std::size_t n = payloads.size();
     if (n == 0) return;
-    PoolCore& core = impl_->core;
-    auto& workers = impl_->workers;
-    workers.assign(std::min(impl_->configured_workers, n), Worker{});
+    Impl& core = *impl_;
+    const SandboxLimits& limits = core.options.limits;
+    auto& workers = core.workers;
+    const std::size_t width =
+        std::min(std::max<std::size_t>(1, core.options.workers), n);
+    if (workers.size() < width) workers.resize(width);
 
     std::size_t next = 0;
     std::size_t completed = 0;
+
+    auto fail_item = [&](std::size_t item, std::size_t slot,
+                         const DecodedExit& exit, double wall_ms) {
+        TaskResult result;
+        result.exit = exit;
+        result.worker = slot;
+        result.wall_ms = wall_ms;
+        on_result(item, std::move(result));
+        ++completed;
+    };
 
     // Hand the next pending payload to `slot`, forking a fresh worker
     // if its previous occupant died.  A worker found dead at dispatch
@@ -290,31 +285,22 @@ void WorkerPool::run(
         Worker& worker = workers[slot];
         std::size_t attempts = 0;
         while (next < n) {
-            if (!worker.alive() &&
-                !core.spawn(worker, slot, &workers)) {
+            if (!worker.alive() && !core.spawn(slot)) {
                 // fork failed (EAGAIN/ENOMEM in the parent): surface
                 // the item as a worker exit and keep the run alive.
-                TaskResult result;
-                result.exit = DecodedExit{ExitKind::WorkerExit, 0, -1};
-                result.worker = slot;
-                on_result(next, std::move(result));
-                ++next;
-                ++completed;
+                fail_item(next++, slot, DecodedExit{ExitKind::WorkerExit, 0, -1},
+                          0.0);
                 continue;
             }
             const std::size_t item = next;
-            if (!write_frame(worker.req_fd, payloads[item])) {
+            if (!wire::write_raw_frame(worker.req_fd, payloads[item])) {
                 const pid_t pid = worker.pid;
                 const DecodedExit decoded = reap_worker(worker);
                 core.emit(WorkerEventKind::Exit, slot, pid,
                           outcome_kind(decoded));
                 if (++attempts >= 2) {
-                    TaskResult result;
-                    result.exit = DecodedExit{ExitKind::WorkerExit, 0, -1};
-                    result.worker = slot;
-                    on_result(item, std::move(result));
-                    ++next;
-                    ++completed;
+                    fail_item(next++, slot,
+                              DecodedExit{ExitKind::WorkerExit, 0, -1}, 0.0);
                     attempts = 0;
                 }
                 continue;
@@ -324,13 +310,34 @@ void WorkerPool::run(
             worker.deadline_killed = false;
             worker.item = item;
             worker.started = Clock::now();
-            if (core.limits.timeout_ms > 0) {
+            if (limits.timeout_ms > 0) {
                 worker.deadline =
                     worker.started +
-                    std::chrono::milliseconds(core.limits.timeout_ms);
+                    std::chrono::milliseconds(limits.timeout_ms);
             }
-            if (impl_->on_dispatch) impl_->on_dispatch(item, slot);
+            if (core.options.on_dispatch) core.options.on_dispatch(item, slot);
             return;
+        }
+    };
+
+    // Retire a worker whose reply stream ended: at EOF its wait status
+    // says how it died; an oversized length prefix is protocol
+    // corruption, so it is SIGKILLed and reported as worker-exit:-2.
+    // A busy worker's item completes with that exit.
+    auto retire = [&](std::size_t slot, bool corrupt) {
+        Worker& worker = workers[slot];
+        if (corrupt) ::kill(worker.pid, SIGKILL);
+        const pid_t pid = worker.pid;
+        const bool was_busy = worker.busy;
+        const std::size_t item = worker.item;
+        const double wall = was_busy ? ms_since(worker.started) : 0.0;
+        DecodedExit decoded = reap_worker(worker);
+        if (corrupt) decoded = DecodedExit{ExitKind::WorkerExit, 0, -2};
+        core.emit(WorkerEventKind::Exit, slot, pid,
+                  was_busy || corrupt ? outcome_kind(decoded) : "");
+        if (was_busy) {
+            core.count_outcome(decoded);
+            fail_item(item, slot, decoded, wall);
         }
     };
 
@@ -341,7 +348,7 @@ void WorkerPool::run(
     while (completed < n) {
         // Poll timeout: the earliest busy-worker deadline.
         int timeout = -1;
-        if (core.limits.timeout_ms > 0) {
+        if (limits.timeout_ms > 0) {
             const auto now = Clock::now();
             for (const Worker& worker : workers) {
                 if (!worker.alive() || !worker.busy) continue;
@@ -368,7 +375,6 @@ void WorkerPool::run(
             for (std::size_t i = 0; i < workers.size() && completed < n; ++i) {
                 dispatch(i);
             }
-            if (completed >= n) break;
             continue;
         }
         int rc = -1;
@@ -379,7 +385,7 @@ void WorkerPool::run(
         // Deadline escalation: SIGKILL every busy worker past its
         // budget.  The kill surfaces as EOF on its reply pipe, reaped
         // below with deadline_killed set, which decodes as Timeout.
-        if (core.limits.timeout_ms > 0) {
+        if (limits.timeout_ms > 0) {
             const auto now = Clock::now();
             for (std::size_t i = 0; i < workers.size(); ++i) {
                 Worker& worker = workers[i];
@@ -401,7 +407,7 @@ void WorkerPool::run(
             const std::size_t slot = slots[f];
             Worker& worker = workers[slot];
             if (!worker.alive()) continue;
-            ReadStatus status = drain(worker);
+            const ReadStatus status = drain(worker);
 
             // Complete reply frames first: a worker that replied and
             // then died (mutant called exit) still completed its item.
@@ -415,177 +421,33 @@ void WorkerPool::run(
                 on_result(worker.item, std::move(result));
                 ++completed;
             }
-            if (worker.buf.oversized()) {
-                // Protocol corruption; discard the worker.
-                ::kill(worker.pid, SIGKILL);
-                const pid_t pid = worker.pid;
-                const bool was_busy = worker.busy;
-                const std::size_t item = worker.item;
-                const double wall =
-                    was_busy ? ms_since(worker.started) : 0.0;
-                (void)reap_worker(worker);
-                const DecodedExit decoded{ExitKind::WorkerExit, 0, -2};
-                core.emit(WorkerEventKind::Exit, slot, pid,
-                          outcome_kind(decoded));
-                if (was_busy) {
-                    core.count_outcome(decoded);
-                    TaskResult result;
-                    result.exit = decoded;
-                    result.worker = slot;
-                    result.wall_ms = wall;
-                    on_result(item, std::move(result));
-                    ++completed;
-                }
-                dispatch(slot);
-                continue;
-            }
-            if (status == ReadStatus::Eof) {
-                const pid_t pid = worker.pid;
-                const bool was_busy = worker.busy;
-                const std::size_t item = worker.item;
-                const double wall =
-                    was_busy ? ms_since(worker.started) : 0.0;
-                const DecodedExit decoded = reap_worker(worker);
-                core.emit(WorkerEventKind::Exit, slot, pid,
-                          was_busy ? outcome_kind(decoded) : "");
-                if (was_busy) {
-                    core.count_outcome(decoded);
-                    TaskResult result;
-                    result.exit = decoded;
-                    result.worker = slot;
-                    result.wall_ms = wall;
-                    on_result(item, std::move(result));
-                    ++completed;
-                }
+            if (worker.buf.oversized() || status == ReadStatus::Eof) {
+                retire(slot, worker.buf.oversized());
                 dispatch(slot);
             } else if (!worker.busy) {
                 dispatch(slot);
             }
         }
     }
-
-    // Orderly shutdown: closing the request pipes EOFs every idle
-    // child out of read_frame, so they _exit(0).
-    for (std::size_t i = 0; i < workers.size(); ++i) {
-        Worker& worker = workers[i];
-        if (!worker.alive()) continue;
-        close_fd(worker.req_fd);
-        const pid_t pid = worker.pid;
-        (void)reap_worker(worker);
-        core.emit(WorkerEventKind::Exit, i, pid, "");
-    }
 }
-
-struct SandboxRunner::Impl {
-    PoolCore core;
-    Worker worker;
-};
 
 SandboxRunner::SandboxRunner(Job job, SandboxLimits limits,
                              std::function<void(const WorkerEvent&)> on_event)
-    : impl_(std::make_unique<Impl>()) {
-    ignore_sigpipe_once();
-    impl_->core.job = std::move(job);
-    impl_->core.limits = limits;
-    impl_->core.on_event = std::move(on_event);
-}
-
-SandboxRunner::~SandboxRunner() {
-    if (impl_ == nullptr || !impl_->worker.alive()) return;
-    close_fd(impl_->worker.req_fd);
-    (void)reap_worker(impl_->worker);
-}
-
-const PoolStats& SandboxRunner::stats() const noexcept {
-    return impl_->core.stats;
-}
+    : pool_(std::move(job), [&] {
+          PoolOptions options;
+          options.limits = limits;
+          options.on_event = std::move(on_event);
+          return options;
+      }()) {}
 
 TaskResult SandboxRunner::call(const std::string& payload) {
-    PoolCore& core = impl_->core;
-    Worker& worker = impl_->worker;
-
-    std::size_t attempts = 0;
-    for (;;) {
-        if (!worker.alive() && !core.spawn(worker, 0, nullptr)) {
-            TaskResult result;
-            result.exit = DecodedExit{ExitKind::WorkerExit, 0, -1};
-            return result;
-        }
-        if (write_frame(worker.req_fd, payload)) break;
-        const pid_t pid = worker.pid;
-        const DecodedExit decoded = reap_worker(worker);
-        core.emit(WorkerEventKind::Exit, 0, pid, outcome_kind(decoded));
-        if (++attempts >= 2) {
-            TaskResult result;
-            result.exit = DecodedExit{ExitKind::WorkerExit, 0, -1};
-            return result;
-        }
-    }
-
-    worker.busy = true;
-    worker.deadline_killed = false;
-    worker.started = Clock::now();
-    if (core.limits.timeout_ms > 0) {
-        worker.deadline =
-            worker.started + std::chrono::milliseconds(core.limits.timeout_ms);
-    }
-
-    for (;;) {
-        int timeout = -1;
-        if (core.limits.timeout_ms > 0 && !worker.deadline_killed) {
-            const auto remain =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    worker.deadline - Clock::now())
-                    .count();
-            if (remain <= 0) {
-                ::kill(worker.pid, SIGKILL);
-                worker.deadline_killed = true;
-                ++core.stats.kills;
-                core.emit(WorkerEventKind::Kill, 0, worker.pid, "timeout");
-            } else {
-                timeout = static_cast<int>(remain) + 1;
-            }
-        }
-        pollfd pfd{worker.resp_fd, POLLIN, 0};
-        int rc = -1;
-        do {
-            rc = ::poll(&pfd, 1, timeout);
-        } while (rc < 0 && errno == EINTR);
-        if (rc == 0) continue;  // deadline check at loop top
-
-        const ReadStatus status = drain(worker);
-        if (auto frame = worker.buf.take_frame()) {
-            TaskResult result;
-            result.payload = std::move(*frame);
-            result.wall_ms = ms_since(worker.started);
-            worker.busy = false;
-            return result;
-        }
-        if (worker.buf.oversized()) {
-            ::kill(worker.pid, SIGKILL);
-            const pid_t pid = worker.pid;
-            const double wall = ms_since(worker.started);
-            (void)reap_worker(worker);
-            const DecodedExit decoded{ExitKind::WorkerExit, 0, -2};
-            core.count_outcome(decoded);
-            core.emit(WorkerEventKind::Exit, 0, pid, outcome_kind(decoded));
-            TaskResult result;
-            result.exit = decoded;
-            result.wall_ms = wall;
-            return result;
-        }
-        if (status == ReadStatus::Eof) {
-            const pid_t pid = worker.pid;
-            const double wall = ms_since(worker.started);
-            const DecodedExit decoded = reap_worker(worker);
-            core.count_outcome(decoded);
-            core.emit(WorkerEventKind::Exit, 0, pid, outcome_kind(decoded));
-            TaskResult result;
-            result.exit = decoded;
-            result.wall_ms = wall;
-            return result;
-        }
-    }
+    TaskResult out;
+    pool_.run({payload}, [&](std::size_t, TaskResult result) {
+        out = std::move(result);
+    });
+    return out;
 }
+
+const PoolStats& SandboxRunner::stats() const noexcept { return pool_.stats(); }
 
 }  // namespace stc::sandbox

@@ -25,13 +25,6 @@ double ms_since(Clock::time_point start) {
         .count();
 }
 
-std::optional<tfm::Criterion> criterion_from_string(const std::string& text) {
-    if (text == "all-transactions") return tfm::Criterion::AllTransactions;
-    if (text == "all-links") return tfm::Criterion::AllEdges;
-    if (text == "all-nodes") return tfm::Criterion::AllNodes;
-    return std::nullopt;
-}
-
 /// One mfc component target: an ElementPool arena kept alive behind the
 /// component, completions attached — the exact setup `concat campaign`
 /// used to hand-build.
@@ -166,7 +159,7 @@ std::optional<BuiltinCampaignConfig> parse_hello(const obs::JsonObject& hello,
             static_cast<std::size_t>(*cases);
     }
     if (const auto criterion = hello.get_string("criterion")) {
-        const auto parsed = criterion_from_string(*criterion);
+        const auto parsed = tfm::criterion_from_string(*criterion);
         if (!parsed) {
             if (error != nullptr) {
                 *error = "hello: unknown criterion '" + *criterion + "'";

@@ -30,7 +30,8 @@ double ms_since(Clock::time_point start) {
 constexpr std::ptrdiff_t kNoItem = -1;
 
 struct WorkerState {
-    enum class Phase { Handshaking, Ready, Dead };
+    /// Draining: sent Shutdown, reading tail telemetry until EOF.
+    enum class Phase { Handshaking, Ready, Draining, Dead };
 
     Endpoint endpoint;
     Fd fd;
@@ -151,16 +152,37 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
         return n;
     };
 
+    // Queue item `pos` on the next live worker after the cursor,
+    // round-robin, taking it from worker `from`.  The items list and
+    // partition are deterministic; only this fault path depends on
+    // runtime behavior, and item results are schedule-independent, so
+    // the merged fates are unchanged by who re-executes what.
+    auto reassign = [&](std::size_t pos, std::size_t from) {
+        std::size_t target = redispatch_cursor;
+        do {
+            target = (target + 1) % workers.size();
+        } while (workers[target].phase == WorkerState::Phase::Dead);
+        redispatch_cursor = target;
+        workers[target].queue.push_back(pos);
+        ++stats.redispatched;
+        emit(obs::JsonObject()
+                 .set("event", "worker-redispatch")
+                 .set("item", static_cast<std::uint64_t>(items[pos].index))
+                 .set("mutant", items[pos].mutant_id)
+                 .set("from", static_cast<std::uint64_t>(from))
+                 .set("to", static_cast<std::uint64_t>(target)));
+    };
+
     // Declare worker `w` dead and move its unfinished items to the
-    // survivors, round-robin.  The items list and partition are
-    // deterministic; only this fault path depends on runtime behavior,
-    // and item results are schedule-independent, so the merged fates
-    // are unchanged by who re-executes what.
+    // survivors.  A draining worker's end (EOF, error) is the orderly
+    // close of its session, not a disconnect.
     auto fail_worker = [&](std::size_t w, const std::string& reason) {
         WorkerState& state = workers[w];
         if (state.phase == WorkerState::Phase::Dead) return;
+        const bool orderly = state.phase == WorkerState::Phase::Draining;
         state.phase = WorkerState::Phase::Dead;
         state.fd.close();
+        if (orderly) return;
         ++stats.disconnects;
         std::deque<std::size_t> unfinished = std::move(state.queue);
         state.queue.clear();
@@ -176,23 +198,8 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
                  .set("reason", reason)
                  .set("unfinished",
                       static_cast<std::uint64_t>(unfinished.size())));
-        if (unfinished.empty() || live_count() == 0) return;
-        for (const std::size_t pos : unfinished) {
-            std::size_t target = redispatch_cursor;
-            do {
-                target = (target + 1) % workers.size();
-            } while (workers[target].phase == WorkerState::Phase::Dead);
-            redispatch_cursor = target;
-            workers[target].queue.push_back(pos);
-            ++stats.redispatched;
-            emit(obs::JsonObject()
-                     .set("event", "worker-redispatch")
-                     .set("item",
-                          static_cast<std::uint64_t>(items[pos].index))
-                     .set("mutant", items[pos].mutant_id)
-                     .set("from", static_cast<std::uint64_t>(w))
-                     .set("to", static_cast<std::uint64_t>(target)));
-        }
+        if (live_count() == 0) return;
+        for (const std::size_t pos : unfinished) reassign(pos, w);
     };
 
     // Connect and greet every endpoint.  A worker that cannot be
@@ -201,16 +208,11 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
     for (std::size_t w = 0; w < workers.size(); ++w) {
         WorkerState& state = workers[w];
         state.endpoint = options_.workers[w];
+        state.phase = WorkerState::Phase::Handshaking;
         try {
             state.fd = connect_to(state.endpoint);
         } catch (const Error& e) {
-            emit(obs::JsonObject()
-                     .set("event", "worker-disconnect")
-                     .set("worker", static_cast<std::uint64_t>(w))
-                     .set("endpoint", state.endpoint.spec)
-                     .set("reason", std::string("connect: ") + e.what())
-                     .set("unfinished", static_cast<std::uint64_t>(0)));
-            ++stats.disconnects;
+            fail_worker(w, std::string("connect: ") + e.what());
             continue;
         }
         obs::JsonObject hello = options_.hello;
@@ -228,17 +230,9 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
         }
         if (!wire::write_message(state.fd.get(), wire::MessageType::Hello,
                                  hello.to_line())) {
-            emit(obs::JsonObject()
-                     .set("event", "worker-disconnect")
-                     .set("worker", static_cast<std::uint64_t>(w))
-                     .set("endpoint", state.endpoint.spec)
-                     .set("reason", "hello-write-failed")
-                     .set("unfinished", static_cast<std::uint64_t>(0)));
-            state.fd.close();
-            ++stats.disconnects;
+            fail_worker(w, "hello-write-failed");
             continue;
         }
-        state.phase = WorkerState::Phase::Handshaking;
         state.last_heard = Clock::now();
     }
     if (live_count() == 0) {
@@ -259,27 +253,17 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
         }
     }
     for (const std::size_t pos : orphaned) {
-        std::size_t target = redispatch_cursor;
-        do {
-            target = (target + 1) % workers.size();
-        } while (workers[target].phase == WorkerState::Phase::Dead);
-        redispatch_cursor = target;
-        workers[target].queue.push_back(pos);
-        ++stats.redispatched;
-        emit(obs::JsonObject()
-                 .set("event", "worker-redispatch")
-                 .set("item", static_cast<std::uint64_t>(items[pos].index))
-                 .set("mutant", items[pos].mutant_id)
-                 .set("from",
-                      static_cast<std::uint64_t>(campaign::shard_of(
-                          items[pos].key, workers.size())))
-                 .set("to", static_cast<std::uint64_t>(target)));
+        reassign(pos, campaign::shard_of(items[pos].key, workers.size()));
     }
 
     // Drain one decoded message from worker `w`.  Returns false when the
     // worker was failed.
     auto handle_message = [&](std::size_t w, const wire::Message& message) {
         WorkerState& state = workers[w];
+        if (state.phase == WorkerState::Phase::Draining &&
+            message.type != wire::MessageType::Telemetry) {
+            return true;  // only the tail telemetry matters after Shutdown
+        }
         switch (message.type) {
             case wire::MessageType::HelloAck: {
                 if (state.phase != WorkerState::Phase::Handshaking) {
@@ -391,6 +375,38 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
         }
     };
 
+    // Read what worker `w`'s connection holds and handle every complete
+    // message.  EOF, a read error or an undecodable stream fails it.
+    auto read_step = [&](std::size_t w) {
+        WorkerState& state = workers[w];
+        char chunk[4096];
+        const ssize_t got = ::read(state.fd.get(), chunk, sizeof chunk);
+        if (got < 0 && (errno == EINTR || errno == EAGAIN)) return;
+        if (got < 0) {
+            fail_worker(w, "read-failed: " + std::string(std::strerror(errno)));
+            return;
+        }
+        if (got == 0) {
+            fail_worker(w, state.decoder.pending_bytes() == 0 ? "peer-closed"
+                                                              : "torn-frame");
+            return;
+        }
+        state.last_heard = Clock::now();
+        state.ping_outstanding = false;
+        state.decoder.feed(chunk, static_cast<std::size_t>(got));
+        for (;;) {
+            wire::Message message;
+            const wire::Decoder::Status status = state.decoder.next(&message);
+            if (status == wire::Decoder::Status::NeedMore) break;
+            if (status != wire::Decoder::Status::Ok) {
+                fail_worker(w, std::string("protocol: ") +
+                                   wire::to_string(status));
+                break;
+            }
+            if (!handle_message(w, message)) break;
+        }
+    };
+
     const int poll_slice_ms =
         std::max(10, std::min(options_.keepalive_ms / 2, 250));
     while (remaining > 0) {
@@ -450,38 +466,8 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
 
         for (std::size_t i = 0; ready > 0 && i < fds.size(); ++i) {
             if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-            const std::size_t w = fd_owner[i];
-            WorkerState& state = workers[w];
-            if (state.phase == WorkerState::Phase::Dead) continue;
-            char chunk[4096];
-            const ssize_t got = ::read(state.fd.get(), chunk, sizeof chunk);
-            if (got == 0) {
-                fail_worker(w, state.decoder.pending_bytes() == 0
-                                   ? "peer-closed"
-                                   : "torn-frame");
-                continue;
-            }
-            if (got < 0) {
-                if (errno == EINTR || errno == EAGAIN) continue;
-                fail_worker(w, "read-failed: " +
-                                   std::string(std::strerror(errno)));
-                continue;
-            }
-            state.last_heard = Clock::now();
-            state.ping_outstanding = false;
-            state.decoder.feed(chunk, static_cast<std::size_t>(got));
-            for (;;) {
-                wire::Message message;
-                const wire::Decoder::Status status =
-                    state.decoder.next(&message);
-                if (status == wire::Decoder::Status::NeedMore) break;
-                if (status != wire::Decoder::Status::Ok) {
-                    fail_worker(w, std::string("protocol: ") +
-                                       wire::to_string(status));
-                    break;
-                }
-                if (!handle_message(w, message)) break;
-            }
+            if (workers[fd_owner[i]].phase == WorkerState::Phase::Dead) continue;
+            read_step(fd_owner[i]);
         }
 
         // Keepalive bookkeeping: probe the quiet, bury the silent.
@@ -525,40 +511,15 @@ DispatchStats Coordinator::run(const std::vector<campaign::WorkItem>& items,
         if (state.phase == WorkerState::Phase::Dead) continue;
         (void)wire::write_message(state.fd.get(), wire::MessageType::Shutdown,
                                   "");
-        if (!draining) {
-            state.fd.close();
-            continue;
-        }
-        while (Clock::now() < drain_deadline) {
+        state.phase = WorkerState::Phase::Draining;
+        while (draining && state.phase == WorkerState::Phase::Draining &&
+               Clock::now() < drain_deadline) {
             pollfd pfd{state.fd.get(), POLLIN, 0};
             const int ready = ::poll(&pfd, 1, 100);
             if (ready < 0 && errno != EINTR) break;
-            if (ready <= 0) continue;
-            char chunk[4096];
-            const ssize_t got = ::read(state.fd.get(), chunk, sizeof chunk);
-            if (got == 0) break;  // worker flushed and closed
-            if (got < 0) {
-                if (errno == EINTR || errno == EAGAIN) continue;
-                break;
-            }
-            state.decoder.feed(chunk, static_cast<std::size_t>(got));
-            bool poisoned = false;
-            for (;;) {
-                wire::Message message;
-                const wire::Decoder::Status status =
-                    state.decoder.next(&message);
-                if (status == wire::Decoder::Status::NeedMore) break;
-                if (status != wire::Decoder::Status::Ok) {
-                    poisoned = true;
-                    break;
-                }
-                if (message.type == wire::MessageType::Telemetry) {
-                    handle_telemetry(message.payload);
-                }
-            }
-            if (poisoned) break;
+            if (ready > 0) read_step(w);
         }
-        state.fd.close();
+        fail_worker(w, "shutdown");
     }
 
     stats.wall_ms = ms_since(t0);

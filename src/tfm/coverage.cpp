@@ -49,6 +49,14 @@ const char* to_string(Criterion c) noexcept {
     return "?";
 }
 
+std::optional<Criterion> criterion_from_string(std::string_view text) noexcept {
+    for (const Criterion c : {Criterion::AllTransactions, Criterion::AllNodes,
+                              Criterion::AllEdges}) {
+        if (text == to_string(c)) return c;
+    }
+    return std::nullopt;
+}
+
 std::vector<std::size_t> select_transactions(
     [[maybe_unused]] const Graph& g, const std::vector<Transaction>& transactions,
     Criterion c) {

@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "stc/tfm/graph.h"
@@ -46,6 +48,9 @@ enum class Criterion {
 };
 
 [[nodiscard]] const char* to_string(Criterion c) noexcept;
+/// The inverse of to_string; std::nullopt for an unknown name.
+[[nodiscard]] std::optional<Criterion> criterion_from_string(
+    std::string_view text) noexcept;
 
 /// Select indices into `transactions` satisfying the criterion.  Greedy
 /// set cover for AllNodes/AllEdges (deterministic: ties break on lower

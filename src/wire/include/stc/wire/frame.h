@@ -6,7 +6,7 @@
 // Two codecs over one core:
 //
 //   raw frame      = u32le payload length | payload
-//     The PR-4 pipe IPC, extracted verbatim from stc::sandbox.  Both
+//     The sandbox pipe IPC; stc::sandbox calls it directly.  Both
 //     ends are forked from one binary, so the frame needs no identity.
 //
 //   message        = "STCW" magic | u8 version | u8 type | u32le length
@@ -99,10 +99,12 @@ void encode_u32le(std::uint32_t value, unsigned char out[4]) noexcept;
 // ---------------------------------------------------------------------
 // Raw frames — the sandbox pipe codec (length | payload).
 
+/// Write one complete raw frame; false on error (see write_exact).
 [[nodiscard]] bool write_raw_frame(int fd, std::string_view payload) noexcept;
 
-/// Blocking read of one raw frame.  std::nullopt on clean EOF, a torn
-/// frame, or an oversized length prefix.
+/// Blocking read of one raw frame (the sandbox child's side).
+/// std::nullopt on clean EOF, a torn frame, or an oversized length
+/// prefix.
 [[nodiscard]] std::optional<std::string> read_raw_frame(int fd);
 
 /// Incremental raw-frame decoder (the sandbox parent's poll-loop side).

@@ -402,6 +402,32 @@ TEST_F(CliTest, FuzzTelemetryListsEveryVerdictKindInStats) {
     }
 }
 
+TEST_F(CliTest, FuzzIsolateMatchesInProcessAndForksOnce) {
+    // `fuzz --isolate` replays every case in one persistent fork-server
+    // worker: the report byte-matches the in-process run, and a run in
+    // which no worker dies forks exactly once.
+    const std::string base =
+        "/tmp/stc_cli_fuzz_iso_" + std::to_string(getpid());
+    const std::string telemetry = base + ".jsonl";
+    std::remove(telemetry.c_str());
+    const std::string args =
+        std::string("fuzz coblist --iters 200 --seed 11 --mutant ") +
+        kSeededFault;
+    ASSERT_EQ(run(args, base + "_inproc.out"), 0);
+    ASSERT_EQ(run(args + " --isolate --telemetry-out " + telemetry,
+                  base + "_iso.out"),
+              0);
+    EXPECT_EQ(slurp(base + "_inproc.out"), slurp(base + "_iso.out"));
+
+    std::istringstream lines(slurp(telemetry));
+    std::string end;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.find("\"event\":\"fuzz-end\"") != std::string::npos) end = line;
+    }
+    ASSERT_FALSE(end.empty());
+    EXPECT_NE(end.find("\"sandbox_spawns\":1,"), std::string::npos) << end;
+}
+
 TEST_F(CliTest, FuzzAndShrinkRejectBadInvocations) {
     EXPECT_EQ(run("fuzz coblist --mutant No::Such@mutant"), 2);
     EXPECT_EQ(run("fuzz nonesuch --iters 5"), 2);
@@ -733,6 +759,9 @@ protected:
     std::string start_daemon() {
         const std::string base = scratch("daemon" + std::to_string(pid_files_.size()));
         pid_files_.push_back(base + ".pid");
+        // An earlier test in this process left a log under the same
+        // name; its stale port line must not be read as this daemon's.
+        std::remove((base + ".log").c_str());
         const std::string cmd = binary_ + " serve --listen 0 --once > " + base +
                                 ".log 2>&1 & echo $! > " + base + ".pid";
         if (std::system(cmd.c_str()) != 0) return {};

@@ -382,8 +382,8 @@ TEST_P(PruneDifferential, PrunedFatesReportsAndStoresMatchUnpruned) {
                          pruned.run.covered_score());
         EXPECT_EQ(read_store_fates(baseline_store), read_store_fates(store));
         // The tier must actually avoid work, not just agree.
-        EXPECT_GT(pruned.stats.pruned_pairs, 0u);
-        EXPECT_LT(pruned.stats.executed_pairs,
+        EXPECT_GT(pruned.stats.pairs.pruned_pairs, 0u);
+        EXPECT_LT(pruned.stats.pairs.executed_pairs,
                   mutants.size() * (suite.size() + probe.size()));
     }
 
@@ -395,7 +395,7 @@ TEST_P(PruneDifferential, PrunedFatesReportsAndStoresMatchUnpruned) {
     EXPECT_EQ(render(baseline, suite), render(isolated, suite));
     EXPECT_EQ(read_store_fates(baseline_store),
               read_store_fates(isolate_store));
-    EXPECT_GT(isolated.stats.pruned_pairs, 0u);
+    EXPECT_GT(isolated.stats.pairs.pruned_pairs, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PruneDifferential,
@@ -500,12 +500,12 @@ TEST(PruneCObList, PrunedCampaignMatchesUnprunedOnTheRealComponent) {
     // some pairs must be.
     const std::uint64_t total =
         static_cast<std::uint64_t>(mutants.size()) * suite.size();
-    EXPECT_EQ(pruned.stats.executed_pairs + pruned.stats.pruned_pairs +
-                  pruned.stats.decided_pairs,
+    const mutation::PruneStats& pairs = pruned.stats.pairs;
+    EXPECT_EQ(pairs.executed_pairs + pairs.pruned_pairs + pairs.decided_pairs,
               total);
-    EXPECT_LT(pruned.stats.executed_pairs, total);
-    EXPECT_GT(pruned.stats.pruned_pairs, 0u);
-    EXPECT_GT(pruned.stats.decided_pairs, 0u);
+    EXPECT_LT(pairs.executed_pairs, total);
+    EXPECT_GT(pairs.pruned_pairs, 0u);
+    EXPECT_GT(pairs.decided_pairs, 0u);
 }
 
 // --------------------------------------------- decide-and-stop evaluator

@@ -1,9 +1,9 @@
-// stc::sandbox tests: frame IPC, wait-status decoding, the forked
-// worker pool surviving genuinely hostile jobs (real SIGSEGV, hangs,
-// allocation bombs), and the isolated campaign contracts — fates
-// byte-identical to in-process for benign mutants, real faults
-// contained to one worker, and clean resume after the orchestrator
-// itself is SIGKILLed mid-run.
+// stc::sandbox tests: pipe framing (stc::wire raw frames), wait-status
+// decoding, the forked worker pool surviving genuinely hostile jobs
+// (real SIGSEGV, hangs, allocation bombs), and the isolated campaign
+// contracts — fates byte-identical to in-process for benign mutants,
+// real faults contained to one worker, and clean resume after the
+// orchestrator itself is SIGKILLed mid-run.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -18,15 +18,16 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "stc/campaign/scheduler.h"
 #include "stc/sandbox/codec.h"
 #include "stc/sandbox/executor.h"
-#include "stc/sandbox/ipc.h"
 #include "stc/sandbox/limits.h"
 #include "stc/sandbox/worker_pool.h"
+#include "stc/wire/frame.h"
 #include "hostile_component.h"
 #include "test_component.h"
 
@@ -64,12 +65,12 @@ TEST(SandboxIpc, FrameRoundTripsThroughAPipe) {
     int fds[2];
     ASSERT_EQ(::pipe(fds), 0);
     const std::string payload = "hello, \x01 hostile \n bytes";
-    ASSERT_TRUE(write_frame(fds[1], payload));
-    ASSERT_TRUE(write_frame(fds[1], ""));  // empty payload is a valid frame
-    EXPECT_EQ(read_frame(fds[0]), payload);
-    EXPECT_EQ(read_frame(fds[0]), "");
+    ASSERT_TRUE(wire::write_raw_frame(fds[1], payload));
+    ASSERT_TRUE(wire::write_raw_frame(fds[1], ""));  // empty is a valid frame
+    EXPECT_EQ(wire::read_raw_frame(fds[0]), payload);
+    EXPECT_EQ(wire::read_raw_frame(fds[0]), "");
     ::close(fds[1]);
-    EXPECT_FALSE(read_frame(fds[0]).has_value());  // clean EOF
+    EXPECT_FALSE(wire::read_raw_frame(fds[0]).has_value());  // clean EOF
     ::close(fds[0]);
 }
 
@@ -78,16 +79,16 @@ TEST(SandboxIpc, TornPrefixReadsAsNoFrame) {
     ASSERT_EQ(::pipe(fds), 0);
     ASSERT_EQ(::write(fds[1], "\x07\x00", 2), 2);  // half a length prefix
     ::close(fds[1]);
-    EXPECT_FALSE(read_frame(fds[0]).has_value());
+    EXPECT_FALSE(wire::read_raw_frame(fds[0]).has_value());
     ::close(fds[0]);
 }
 
 TEST(SandboxIpc, FrameBufferReassemblesByteByByte) {
-    const std::string wire = raw_frame("first") + raw_frame("") +
-                             raw_frame("second frame");
-    FrameBuffer buffer;
+    const std::string bytes = raw_frame("first") + raw_frame("") +
+                              raw_frame("second frame");
+    wire::RawFrameBuffer buffer;
     std::vector<std::string> frames;
-    for (const char byte : wire) {
+    for (const char byte : bytes) {
         buffer.feed(&byte, 1);
         while (auto frame = buffer.take_frame()) frames.push_back(*frame);
         EXPECT_FALSE(buffer.oversized());
@@ -97,14 +98,6 @@ TEST(SandboxIpc, FrameBufferReassemblesByteByByte) {
     EXPECT_EQ(frames[1], "");
     EXPECT_EQ(frames[2], "second frame");
     EXPECT_EQ(buffer.pending_bytes(), 0u);
-}
-
-TEST(SandboxIpc, FrameBufferFlagsOversizedPrefixes) {
-    FrameBuffer buffer;
-    const char huge[4] = {'\xff', '\xff', '\xff', '\xff'};  // 4 GiB claim
-    buffer.feed(huge, sizeof huge);
-    EXPECT_TRUE(buffer.oversized());
-    EXPECT_FALSE(buffer.take_frame().has_value());
 }
 
 // --------------------------------------------------- wait-status decode
@@ -271,6 +264,34 @@ TEST(SandboxWorkerPool, SurvivesWorkerDeathsAndKeepsServing) {
     EXPECT_GE(exits, 3u);  // the three mid-run deaths (+ final shutdown)
 }
 
+TEST(SandboxWorkerPool, WorkersPersistAcrossRuns) {
+    PoolOptions options;
+    options.workers = 2;
+    std::vector<WorkerEvent> events;
+    options.on_event = [&](const WorkerEvent& e) { events.push_back(e); };
+    std::optional<WorkerPool> pool;
+    pool.emplace(hostile_job, std::move(options));
+    const std::vector<std::string> payloads = {"ok:a", "ok:b", "ok:c"};
+    for (int round = 0; round < 2; ++round) {
+        std::size_t replies = 0;
+        pool->run(payloads, [&](std::size_t index, TaskResult result) {
+            EXPECT_EQ(result.payload, "echo:" + payloads[index]);
+            ++replies;
+        });
+        EXPECT_EQ(replies, payloads.size());
+    }
+    EXPECT_EQ(pool->stats().spawned, 2u);
+    EXPECT_EQ(pool->stats().respawned, 0u);
+    EXPECT_EQ(events.size(), 2u);  // two spawns, no exit until shutdown
+
+    pool.reset();  // the destructor shuts each worker down once
+    ASSERT_EQ(events.size(), 4u);
+    for (std::size_t i = 2; i < events.size(); ++i) {
+        EXPECT_EQ(events[i].kind, WorkerEventKind::Exit);
+        EXPECT_EQ(events[i].detail, "");
+    }
+}
+
 TEST(SandboxWorkerPool, RealSegfaultAndAllocationBombAreContained) {
     if (STC_UNDER_ASAN) {
         GTEST_SKIP() << "real SIGSEGV / RLIMIT_AS conflict with sanitizers";
@@ -303,6 +324,8 @@ TEST(SandboxRunner, RespawnsAfterACrashAndKeepsServing) {
     EXPECT_EQ(runner.call("hang").outcome(), "timeout");
     EXPECT_EQ(runner.call("ok:3").payload, "echo:ok:3");
     EXPECT_GE(runner.stats().respawned, 2u);
+    // Every fork after the first replaces a worker that died.
+    EXPECT_EQ(runner.stats().spawned, runner.stats().respawned + 1);
 }
 
 // ------------------------------------------------------------------ codec

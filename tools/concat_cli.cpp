@@ -406,15 +406,9 @@ std::optional<Options> parse_args(int argc, char** argv) {
         } else if (arg == "--criterion") {
             const auto v = next();
             if (!v) return std::nullopt;
-            if (*v == "all-transactions") {
-                out.generator.criterion = tfm::Criterion::AllTransactions;
-            } else if (*v == "all-links") {
-                out.generator.criterion = tfm::Criterion::AllEdges;
-            } else if (*v == "all-nodes") {
-                out.generator.criterion = tfm::Criterion::AllNodes;
-            } else {
-                return std::nullopt;
-            }
+            const auto criterion = tfm::criterion_from_string(*v);
+            if (!criterion) return std::nullopt;
+            out.generator.criterion = *criterion;
         } else if (arg == "--states") {
             out.generator.include_entry_states = true;
         } else if (arg == "--include") {
@@ -1018,12 +1012,12 @@ int cmd_campaign(const Options& options) {
                   << " wall_ms=" << result.stats.wall_ms << "\n";
     }
     if (result.stats.pruned) {
-        std::cerr << "prune stats: executed_pairs="
-                  << result.stats.executed_pairs
-                  << " pruned_pairs=" << result.stats.pruned_pairs
-                  << " decided_pairs=" << result.stats.decided_pairs
-                  << " memoized_pairs=" << result.stats.memoized_pairs
-                  << " memoized_calls=" << result.stats.memoized_calls << "\n";
+        const mutation::PruneStats& pairs = result.stats.pairs;
+        std::cerr << "prune stats: executed_pairs=" << pairs.executed_pairs
+                  << " pruned_pairs=" << pairs.pruned_pairs
+                  << " decided_pairs=" << pairs.decided_pairs
+                  << " memoized_pairs=" << pairs.memoized_pairs
+                  << " memoized_calls=" << pairs.memoized_calls << "\n";
     }
 
     return emit(options, report.str());
