@@ -1,10 +1,15 @@
 // Shared text wire-format helpers for the concat-* persistence formats
-// (suite_io, golden_io, interclass system_io): percent-encoding of field
-// separators and the typed Value encoding.
+// (suite_io, golden_io, interclass system_io, fuzz corpus):
+// percent-encoding of field separators, the typed Value encoding, and
+// the checked number parse every reader of these files goes through.
 #pragma once
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "stc/domain/value.h"
 #include "stc/support/error.h"
@@ -27,12 +32,39 @@ inline std::string encode(const std::string& s) {
     return out;
 }
 
-inline std::string decode(const std::string& s) {
+/// All of `text` as a T (an integer type, or double), or stc::Error
+/// naming `lineno`: a corrupt file is rejected, never aborts the reader
+/// or yields a number parsed from a prefix.
+template <typename T>
+T parse_number(std::string_view text, int lineno, int base = 10) {
+    T value{};
+    const char* end = text.data() + text.size();
+    std::from_chars_result r;
+    if constexpr (std::is_floating_point_v<T>) {
+        r = std::from_chars(text.data(), end, value);
+    } else {
+        r = std::from_chars(text.data(), end, value, base);
+    }
+    if (r.ec != std::errc() || r.ptr != end) {
+        throw Error("line " + std::to_string(lineno) + ": bad number '" +
+                    std::string(text) + "'");
+    }
+    return value;
+}
+
+/// Inverse of encode(); a '%' not followed by two hex digits is an
+/// stc::Error naming `lineno`.
+inline std::string decode(const std::string& s, int lineno) {
     std::string out;
     out.reserve(s.size());
     for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] == '%' && i + 2 < s.size()) {
-            out += static_cast<char>(std::stoi(s.substr(i + 1, 2), nullptr, 16));
+        if (s[i] == '%') {
+            const std::string_view hex = std::string_view(s).substr(i + 1, 2);
+            if (hex.size() != 2) {
+                throw Error("line " + std::to_string(lineno) +
+                            ": bad escape in '" + s + "'");
+            }
+            out += static_cast<char>(parse_number<unsigned>(hex, lineno, 16));
             i += 2;
         } else {
             out += s[i];
@@ -69,10 +101,13 @@ inline domain::Value decode_value(const std::string& field, int lineno) {
     const std::string payload = field.substr(2);
     switch (field[0]) {
         case 'E': return {};
-        case 'I': return domain::Value::make_int(std::stoll(payload));
-        case 'R': return domain::Value::make_real(std::stod(payload));
-        case 'S': return domain::Value::make_string(decode(payload));
-        case 'P': return domain::Value::make_pointer(nullptr, decode(payload));
+        case 'I':
+            return domain::Value::make_int(parse_number<std::int64_t>(payload, lineno));
+        case 'R':
+            return domain::Value::make_real(parse_number<double>(payload, lineno));
+        case 'S': return domain::Value::make_string(decode(payload, lineno));
+        case 'P':
+            return domain::Value::make_pointer(nullptr, decode(payload, lineno));
         default:
             throw Error("line " + std::to_string(lineno) + ": unknown value kind '" +
                         field.substr(0, 1) + "'");

@@ -15,6 +15,7 @@ using driver::wire::decode;
 using driver::wire::decode_value;
 using driver::wire::encode;
 using driver::wire::encode_value;
+using driver::wire::parse_number;
 
 constexpr const char* kMagic = "concat-system-suite 1";
 
@@ -28,7 +29,7 @@ std::string encode_arg(const SystemArg& arg) {
 SystemArg decode_arg(const std::string& field, int lineno) {
     SystemArg out;
     if (!field.empty() && field.front() == '@') {
-        out.role_ref = decode(field.substr(1));
+        out.role_ref = decode(field.substr(1), lineno);
         return out;
     }
     out.value = decode_value(field, lineno);
@@ -49,9 +50,9 @@ SystemMethodCall read_call(const std::string& payload, int lineno) {
                     ": call needs at least 3 fields");
     }
     SystemMethodCall call;
-    call.role = decode(fields[0]);
+    call.role = decode(fields[0], lineno);
     call.method_id = fields[1];
-    call.method_name = decode(fields[2]);
+    call.method_name = decode(fields[2], lineno);
     for (std::size_t i = 3; i < fields.size(); ++i) {
         call.arguments.push_back(decode_arg(fields[i], lineno));
     }
@@ -94,6 +95,9 @@ SystemTestSuite load_system_suite(std::istream& is) {
     auto fail = [&](const std::string& message) -> void {
         throw Error("system suite line " + std::to_string(lineno) + ": " + message);
     };
+    auto number = [&](const std::string& text) {
+        return parse_number<std::uint64_t>(text, lineno);
+    };
 
     if (!next_line() || line != kMagic) {
         throw Error("not a concat-system-suite file (bad magic)");
@@ -104,22 +108,22 @@ SystemTestSuite load_system_suite(std::istream& is) {
         if (support::starts_with(line, "component ")) {
             suite.component_name = line.substr(10);
         } else if (support::starts_with(line, "seed ")) {
-            suite.seed = std::stoull(line.substr(5));
+            suite.seed = number(line.substr(5));
         } else if (support::starts_with(line, "model ")) {
             const auto fields = support::split(line.substr(6), ' ');
             if (fields.size() != 3) fail("model line needs 3 fields");
-            suite.model_nodes = std::stoull(fields[0]);
-            suite.model_links = std::stoull(fields[1]);
-            suite.transactions_enumerated = std::stoull(fields[2]);
+            suite.model_nodes = number(fields[0]);
+            suite.model_links = number(fields[1]);
+            suite.transactions_enumerated = number(fields[2]);
         } else if (support::starts_with(line, "case ")) {
             const auto fields = support::split(line.substr(5), '|');
             if (fields.size() != 4) fail("case line needs 4 fields");
             SystemTestCase tc;
             tc.id = fields[0];
-            tc.transaction_text = decode(fields[1]);
+            tc.transaction_text = decode(fields[1], lineno);
             if (!fields[2].empty()) {
                 for (const auto& index : support::split(fields[2], ',')) {
-                    tc.transaction.path.push_back(std::stoull(index));
+                    tc.transaction.path.push_back(number(index));
                 }
             }
             tc.needs_completion = fields[3] == "1";

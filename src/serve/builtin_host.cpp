@@ -142,40 +142,43 @@ obs::JsonObject make_hello(const BuiltinCampaignConfig& config,
 
 std::optional<BuiltinCampaignConfig> parse_hello(const obs::JsonObject& hello,
                                                  std::string* error) {
-    BuiltinCampaignConfig config;
-    const auto component = hello.get_string("component");
-    if (!component) {
-        if (error != nullptr) *error = "hello: missing 'component'";
+    // Coordinator and worker are one binary (the fingerprint proves it),
+    // so a Hello lacking any field make_hello writes is malformed, not
+    // an older peer to default for.
+    std::string missing;
+    const auto need = [&](auto value, const char* key) {
+        if (!value && missing.empty()) missing = key;
+        return value;
+    };
+    const auto component = need(hello.get_string("component"), "component");
+    const auto seed = need(hello.get_uint("seed"), "seed");
+    const auto visits = need(hello.get_uint("max_visits"), "max_visits");
+    const auto cases = need(hello.get_uint("cases"), "cases");
+    const auto criterion = need(hello.get_string("criterion"), "criterion");
+    const auto states = need(hello.get_bool("states"), "states");
+    const auto probe = need(hello.get_bool("probe"), "probe");
+    const auto model = need(hello.get_bool("model"), "model");
+    const auto prune = need(hello.get_bool("prune"), "prune");
+    (void)need(hello.get_string("fingerprint"), "fingerprint");
+    if (!missing.empty()) {
+        if (error != nullptr) *error = "hello: missing or mistyped '" + missing + "'";
         return std::nullopt;
     }
+    const auto parsed = tfm::criterion_from_string(*criterion);
+    if (!parsed) {
+        if (error != nullptr) *error = "hello: unknown criterion '" + *criterion + "'";
+        return std::nullopt;
+    }
+    BuiltinCampaignConfig config;
     config.component = *component;
-    if (const auto seed = hello.get_uint("seed")) config.generator.seed = *seed;
-    if (const auto visits = hello.get_uint("max_visits")) {
-        config.generator.enumeration.max_node_visits =
-            static_cast<std::size_t>(*visits);
-    }
-    if (const auto cases = hello.get_uint("cases")) {
-        config.generator.cases_per_transaction =
-            static_cast<std::size_t>(*cases);
-    }
-    if (const auto criterion = hello.get_string("criterion")) {
-        const auto parsed = tfm::criterion_from_string(*criterion);
-        if (!parsed) {
-            if (error != nullptr) {
-                *error = "hello: unknown criterion '" + *criterion + "'";
-            }
-            return std::nullopt;
-        }
-        config.generator.criterion = *parsed;
-    }
-    config.generator.include_entry_states =
-        hello.get_bool("states").value_or(false);
-    config.probe = hello.get_bool("probe").value_or(false);
-    config.model = hello.get_bool("model").value_or(false);
-    // A pre-prune coordinator never prunes; defaulting to false keeps
-    // such mixed pairs agreeing (their fingerprints match too, since
-    // neither absorbs the prune token).
-    config.prune = hello.get_bool("prune").value_or(false);
+    config.generator.seed = *seed;
+    config.generator.enumeration.max_node_visits = static_cast<std::size_t>(*visits);
+    config.generator.cases_per_transaction = static_cast<std::size_t>(*cases);
+    config.generator.criterion = *parsed;
+    config.generator.include_entry_states = *states;
+    config.probe = *probe;
+    config.model = *model;
+    config.prune = *prune;
     return config;
 }
 
@@ -285,7 +288,7 @@ SessionFactory builtin_session_factory() {
         auto campaign = BuiltinCampaign::open(*config, error, obs);
         if (campaign == nullptr) return nullptr;
         const std::string theirs = hello.get_string("fingerprint").value_or("");
-        if (!theirs.empty() && theirs != campaign->fingerprint()) {
+        if (theirs != campaign->fingerprint()) {
             if (error != nullptr) {
                 *error = "fingerprint mismatch: coordinator " + theirs +
                          " vs worker " + campaign->fingerprint();

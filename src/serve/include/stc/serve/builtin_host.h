@@ -111,9 +111,8 @@ struct BuiltinInputs {
 [[nodiscard]] obs::JsonObject make_hello(const BuiltinCampaignConfig& config,
                                          const std::string& fingerprint);
 
-/// Parse a Hello payload; std::nullopt with `*error` set on an unknown
-/// component or criterion.  Missing optional fields take the same
-/// defaults `concat campaign` uses.
+/// Parse a Hello payload; std::nullopt with `*error` set when a field
+/// make_hello writes is missing or mistyped, or the criterion is unknown.
 [[nodiscard]] std::optional<BuiltinCampaignConfig> parse_hello(
     const obs::JsonObject& hello, std::string* error);
 

@@ -434,6 +434,42 @@ TEST_F(CliTest, FuzzAndShrinkRejectBadInvocations) {
     EXPECT_EQ(run("fuzz coblist --top 3"), 2);  // stats-only flag
     EXPECT_EQ(run("shrink coblist"), 2);        // --case is required
     EXPECT_EQ(run("suite " + tspec_path_ + " --iters 5"), 2);  // fuzz-only flag
+    // shrink replays under the entry's own seed; it takes none.
+    EXPECT_EQ(run("shrink coblist --case x.suite --seed 1",
+                  "/tmp/stc_cli_shrink_seed.out"),
+              2);
+    EXPECT_NE(slurp("/tmp/stc_cli_shrink_seed.out").find("'--seed'"),
+              std::string::npos);
+    // fuzz, run and shrink drive one class, so an assembly product is
+    // refused as kill refuses it.
+    for (const char* command : {"fuzz shop", "run shop", "shrink shop --case x"}) {
+        EXPECT_EQ(run(command, "/tmp/stc_cli_single_class.out"), 2) << command;
+        EXPECT_NE(slurp("/tmp/stc_cli_single_class.out").find("single-class"),
+                  std::string::npos)
+            << command;
+    }
+}
+
+TEST_F(CliTest, MalformedCorpusEntryIsAnErrorNotAnAbort) {
+    // A corrupted number or escape in a corpus entry exits 1 with a
+    // message naming the line, never dies of an uncaught exception.
+    for (const char* bad : {"I:zz", "S:%zz"}) {
+        const std::string entry =
+            "/tmp/stc_cli_bad_entry_" + std::to_string(getpid()) + ".suite";
+        {
+            std::ofstream out(entry);
+            out << "concat-corpus 1\nverdict crash\nconcat-suite 1\n"
+                   "class CObList\nseed 1\nmodel 10 22 0\ncase TC0|t|0|0|\n"
+                   "call m1|CObList|1|0|0\ncall m3|AddHead|0|0|0|"
+                << bad << "\nend\n";
+        }
+        const std::string log = "/tmp/stc_cli_bad_entry.out";
+        EXPECT_EQ(run("shrink coblist --case " + entry, log), 1) << bad;
+        const std::string out = slurp(log);
+        EXPECT_NE(out.find("line 9"), std::string::npos) << out;
+        EXPECT_EQ(out.find("terminate"), std::string::npos) << out;
+        std::remove(entry.c_str());
+    }
 }
 
 // ---------------------------------------------------------------- model
@@ -493,6 +529,11 @@ TEST_F(CliTest, RunSubcommandExecutesAndFlagsDivergence) {
     EXPECT_EQ(run("run nonesuch"), 2);
     EXPECT_EQ(run("run coblist --iters 5"), 2);  // fuzz-only flag
     EXPECT_EQ(run("run coblist --mutant No::Such@m"), 2);
+
+    // Every registered single-class target runs, not just the mfc ones.
+    ASSERT_EQ(run("run wallet", "/tmp/stc_cli_run_wallet.out"), 0);
+    EXPECT_NE(slurp("/tmp/stc_cli_run_wallet.out").find("run: Wallet"),
+              std::string::npos);
 }
 
 TEST_F(CliTest, CampaignShrinkCorpusIsIdenticalAcrossJobCounts) {

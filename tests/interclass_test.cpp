@@ -317,6 +317,17 @@ TEST_F(SystemGen, SystemSuiteIoRejectsMalformedInput) {
     std::stringstream short_call(
         "concat-system-suite 1\ncase STC0|t|0|0\nsetup wallet|m1\nend\n");
     EXPECT_THROW((void)load_system_suite(short_call), Error);
+    // Malformed numbers and escapes are errors, not aborts.
+    for (const char* bad : {"seed banana\n",
+                            "model 1 x 3\n",
+                            "case STC0|t|0,zz|0\nend\n",
+                            "case STC0|t|0|0\ncallx wallet|m4|Deposit|I:zz\nend\n",
+                            "case STC0|t|0|0\ncallx wallet|m4|Deposit|R:1.5x\nend\n",
+                            "case STC0|t|0|0\ncallx wallet|m4|Deposit|S:%zz\nend\n",
+                            "case STC0|t|0|0\ncallx @%zz|m4|Deposit\nend\n"}) {
+        std::stringstream in(std::string("concat-system-suite 1\n") + bad);
+        EXPECT_THROW((void)load_system_suite(in), Error) << bad;
+    }
 }
 
 TEST_F(SystemGen, MissingBindingIsSetupError) {

@@ -372,6 +372,20 @@ TEST(ServeBuiltinHost, HelloRoundTripsTheConfig) {
     EXPECT_TRUE(parsed->probe);
     EXPECT_FALSE(parsed->model);
     EXPECT_EQ(hello.get_string("fingerprint").value_or(""), "fp-here");
+
+    // Both ends are one binary, so every field make_hello writes is
+    // required: a Hello without one is rejected, not defaulted.
+    for (const char* dropped : {"prune", "fingerprint"}) {
+        obs::JsonObject partial;
+        for (const auto& field : hello.fields()) {
+            if (field.first == dropped) continue;
+            std::visit([&](const auto& v) { partial.set(field.first, v); },
+                       field.second);
+        }
+        error.clear();
+        EXPECT_FALSE(parse_hello(partial, &error).has_value()) << dropped;
+        EXPECT_NE(error.find(dropped), std::string::npos) << error;
+    }
 }
 
 TEST(ServeBuiltinHost, UnknownComponentIsRejectedNotFatal) {

@@ -223,6 +223,28 @@ TEST_F(SuiteIoTest, MalformedInputRejected) {
     std::stringstream bad_value(
         "concat-suite 1\ncase TC0|t|0|0\ncall m1|f|1|0|Q:zz\nend\n");
     EXPECT_THROW((void)load_suite(bad_value), Error);
+
+    // Malformed numbers and escapes are errors naming the line, not
+    // aborts or numbers read from a prefix.
+    for (const char* bad : {"seed banana\n",
+                            "seed 12abc\n",
+                            "model 1 2 -3\n",
+                            "case TC0|t|0,zz|0\nend\n",
+                            "case TC0|t%zz|0|0\nend\n",
+                            "case TC0|t|0|0\ncall m1|f|1|0|0|I:zz\nend\n",
+                            "case TC0|t|0|0\ncall m1|f|1|0|0|I:1e99\nend\n",
+                            "case TC0|t|0|0\ncall m1|f|1|0|0|R:nope\nend\n",
+                            "case TC0|t|0|0\ncall m1|f|1|0|0|S:%zz\nend\n",
+                            "case TC0|t|0|0\ncall m1|f|1|0|0|S:ab%4\nend\n"}) {
+        std::stringstream in(std::string("concat-suite 1\n") + bad);
+        try {
+            (void)load_suite(in);
+            ADD_FAILURE() << "accepted: " << bad;
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("line "), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 }  // namespace

@@ -1,31 +1,19 @@
 // concat — command-line front end of the framework, playing the role of
-// the paper's Concat prototype for the steps that work offline from the
-// t-spec alone: validating and pretty-printing specifications, rendering
-// and analyzing the TFM, enumerating transactions, generating executable
-// test suites (concat-suite format) and C++ driver source (Figs. 6-7).
+// the paper's Concat prototype: the offline t-spec steps (validate,
+// print, dot, transactions, suite, gen, ...) plus mutation campaigns,
+// their distributed and killer-synthesis forms, fuzzing and telemetry.
 //
-//   concat validate <tspec>                     semantic check
-//   concat print <tspec>                        normalized round-trip
-//   concat dot <tspec>                          Graphviz rendering of the TFM
-//   concat transactions <tspec> [options]       enumerate transactions
-//   concat assemble <assembly-tspec> [options]  synchronous product of an
-//                                               assembly (stc::assembly)
-//   concat suite <tspec> [options] [-o FILE]    generate + save a test suite
-//   concat gen <tspec> [options] [-o FILE]      generate C++ driver source
-//   concat fuzz <component> [options]           coverage-guided fuzz loop
-//   concat run <component> [options]            one plain suite execution
-//   concat shrink <component> --case FILE       re-shrink a corpus entry
-//   concat stats <telemetry.jsonl>              summarize campaign telemetry
+//   concat <command> <operand> [options]
 //
-// Every subcommand accepts --trace-out FILE (Chrome trace-event JSON of
-// the run, loadable in Perfetto) and --metrics-out FILE (counter +
-// latency dump; JSON when FILE ends in .json, plain text otherwise).
-// Other options are per-subcommand; an option that a subcommand does
-// not take is a usage error naming the flag (exit 2).
+// Two tables below define the interface: kCommands (each command, its
+// operand and handler) and kFlags (each option, the commands that take
+// it, the Options field it sets and how its value is read).  `concat`
+// with no arguments renders both.  An option a command does not take is
+// a usage error naming the flag (exit 2).
 #include <charconv>
 #include <chrono>
-#include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -42,6 +30,7 @@
 #include "stc/assembly/product.h"
 #include "stc/campaign/scheduler.h"
 #include "stc/campaign/seed.h"
+#include "stc/campaign/thread_pool.h"
 #include "stc/codegen/driver_codegen.h"
 #include "stc/core/self_testable.h"
 #include "stc/driver/generator.h"
@@ -51,7 +40,6 @@
 #include "stc/fuzz/shrink.h"
 #include "stc/history/version_diff.h"
 #include "stc/kill/kill.h"
-#include "stc/mfc/component.h"
 #include "stc/model/model.h"
 #include "stc/mutation/controller.h"
 #include "stc/mutation/report.h"
@@ -71,534 +59,253 @@ namespace {
 
 using namespace stc;
 
-int usage(std::ostream& os) {
-    os << "usage: concat <command> <tspec-file> [options]\n"
-          "commands:\n"
-          "  validate       parse and semantically check a t-spec\n"
-          "  describe       human-readable summary of the specification\n"
-          "  print          normalized t-spec (round-trip through the parser)\n"
-          "  dot            Graphviz DOT of the transaction flow model\n"
-          "  transactions   enumerate transactions (birth -> death paths)\n"
-          "  assemble       build the synchronous product of an assembly:\n"
-          "                 concat assemble ASSEMBLY.tspec [--dot]\n"
-          "                 [--transactions [--max-visits N] [--criterion C]]\n"
-          "                 default output: construction stats + validation\n"
-          "  coverage       node/link coverage of the selected criterion\n"
-          "  suite          generate a test suite (concat-suite text format)\n"
-          "  gen            generate C++ driver source (paper Figs. 6-7)\n"
-          "  replan         classify a frozen suite against a NEW release:\n"
-          "                 concat replan OLD.tspec --new NEW.tspec --frozen S.txt\n"
-          "                 [-o STILL_VALID.txt]\n"
-          "  campaign       parallel mutation campaign over a registered\n"
-          "                 component (coblist, sortable, wallet, shop):\n"
-          "                 concat campaign <component> [--assembly] [--jobs N]\n"
-          "                 [--seed N] [--cases N] [--probe] [--resume FILE]\n"
-          "                 [--shrink-corpus DIR] [--max-shrink-steps N]\n"
-          "                 [--isolate [--timeout-ms N] [--rlimit-as MB]]\n"
-          "                 [--model] [--no-prune] [--telemetry-out FILE]\n"
-          "                 [-o REPORT]\n"
-          "  kill           synthesize killers for a finished campaign's\n"
-          "                 surviving mutants (bounded product-state search;\n"
-          "                 every killer is execution-verified and shrunk):\n"
-          "                 concat kill <component> --alive --resume FILE\n"
-          "                 [--model] [--budget-states N] [--max-depth N]\n"
-          "                 [--jobs N] [--seed N] [--cases N] [--probe]\n"
-          "                 [--corpus DIR] [--max-shrink-steps N]\n"
-          "                 [--no-prune] [--telemetry-out FILE] [-o REPORT]\n"
-          "  fuzz           coverage-guided transaction fuzzing of a built-in\n"
-          "                 component:\n"
-          "                 concat fuzz <coblist|sortable> [--iters N] [--seed N]\n"
-          "                 [--corpus DIR] [--mutant ID] [--max-shrink-steps N]\n"
-          "                 [--isolate [--timeout-ms N] [--rlimit-as MB]]\n"
-          "                 [--model] [--telemetry-out FILE] [-o REPORT]\n"
-          "  run            execute the generated suite once and report verdicts:\n"
-          "                 concat run <coblist|sortable> [--seed N] [--cases N]\n"
-          "                 [--mutant ID] [--model] [-o REPORT]\n"
-          "  shrink         re-shrink / verify one corpus entry:\n"
-          "                 concat shrink <coblist|sortable> --case FILE\n"
-          "                 [--mutant ID] [--max-shrink-steps N] [--corpus DIR]\n"
-          "  serve          campaign worker daemon (docs/FORMATS.md §10):\n"
-          "                 concat serve [--listen PORT] [--bind ADDR]\n"
-          "                 [--once] [--telemetry-out FILE]\n"
-          "  dispatch       shard a campaign across serve daemons:\n"
-          "                 concat dispatch <component> [--assembly]\n"
-          "                 --workers host:port[,host:port...] [--seed N]\n"
-          "                 [--cases N] [--probe] [--model] [--no-prune]\n"
-          "                 [--resume FILE]\n"
-          "                 [--keepalive-ms N] [--dead-after-ms N]\n"
-          "                 [--telemetry-out FILE] [--progress]\n"
-          "                 [--telemetry-interval-ms N] [-o REPORT]\n"
-          "  stats          summarize campaign telemetry stream(s):\n"
-          "                 concat stats TELEMETRY.jsonl [MORE.jsonl...]\n"
-          "                 [--top N] [--json] [-o REPORT]\n"
-          "                 concat stats --follow TELEMETRY.jsonl\n"
-          "options:\n"
-          "  --trace-out F   (any command) Chrome trace-event JSON of this run\n"
-          "  --metrics-out F (any command) metrics dump; JSON when F ends in .json\n"
-          "  --seed N        random seed for value generation\n"
-          "  --max-visits N  cycle unrolling bound (default 2)\n"
-          "  --cases N       test cases per transaction (default 1)\n"
-          "  --criterion C   all-transactions | all-links | all-nodes\n"
-          "  --states        also generate mid-life entry variants (State records)\n"
-          "  --include H     (gen) #include to emit; repeatable\n"
-          "  --using NS      (gen) using namespace to emit; repeatable\n"
-          "  --log FILE      (gen) log file used by the generated driver\n"
-          "  --new FILE      (replan) the new release's t-spec\n"
-          "  --frozen FILE   (replan) the frozen concat-suite file\n"
-          "  --assembly      (campaign, dispatch) the target is an assembly\n"
-          "                  product; required for assembly targets, rejected\n"
-          "                  for single-class ones\n"
-          "  --dot           (assemble) Graphviz DOT of the product TFM\n"
-          "  --transactions  (assemble) enumerate the product's transactions\n"
-          "  --jobs N        (campaign) worker threads; 0 = all cores (default 1)\n"
-          "  --probe         (campaign) amplified probe suite for equivalence\n"
-          "  --resume FILE   (campaign) resumable result store (JSONL);\n"
-          "                  (kill) the finished campaign's store to read\n"
-          "                  survivors from and publish raised fates into\n"
-          "  --telemetry-out F (campaign, fuzz, kill) JSONL telemetry\n"
-          "  --shrink-corpus D (campaign) shrink each kill into corpus dir D\n"
-          "  --isolate       (campaign, fuzz) run each item in a forked sandbox\n"
-          "                  worker: a real crash/hang/OOM kills only the worker\n"
-          "  --timeout-ms N  (with --isolate) per-item wall deadline, then SIGKILL\n"
-          "                  (default 5000; 0 disables)\n"
-          "  --rlimit-as MB  (with --isolate) worker address-space cap (RLIMIT_AS)\n"
-          "  --model         (campaign, fuzz, run, kill) lockstep reference-model\n"
-          "                  oracle (stc::model): kills/verdicts on divergence\n"
-          "  --prune / --no-prune  (campaign, dispatch) the fast execution\n"
-          "                  tier: skip (mutant, case) pairs the coverage\n"
-          "                  index proves unreachable and resume covered\n"
-          "                  cases from shared-prefix checkpoints; fates are\n"
-          "                  byte-identical either way (default on)\n"
-          "  --alive         (kill) target the store's surviving mutants —\n"
-          "                  required, so the subject of the pass is explicit\n"
-          "  --budget-states N  (kill) product states the search may enqueue\n"
-          "                  per mutant, across all value rounds (default 4096)\n"
-          "  --max-depth N   (kill) longest explored call path (default 12)\n"
-          "  --iters N       (fuzz) exploration executions (default 500)\n"
-          "  --corpus D      (fuzz, shrink, kill) corpus directory for\n"
-          "                  reproducers\n"
-          "  --mutant ID     (fuzz, shrink, run) activate this mutant while running\n"
-          "  --max-shrink-steps N  shrink budget per finding (default 512)\n"
-          "  --case FILE     (shrink) the corpus entry to re-shrink\n"
-          "  --top N         (stats) rows in the slowest-item table (default 10)\n"
-          "  --follow        (stats) tail ONE growing telemetry file, re-render\n"
-          "                  a live snapshot per batch, exit at campaign-end\n"
-          "  --json          (stats) machine-readable summary instead of tables\n"
-          "  --listen PORT   (serve) TCP port to listen on (0 = ephemeral,\n"
-          "                  printed on stdout)\n"
-          "  --bind ADDR     (serve) listen address (default 127.0.0.1; the\n"
-          "                  protocol is unauthenticated — 0.0.0.0 opts in to\n"
-          "                  cross-host exposure)\n"
-          "  --once          (serve) exit after one coordinator session\n"
-          "  --workers LIST  (dispatch) comma-separated host:port daemons\n"
-          "  --keepalive-ms N  (dispatch) silence before a ping (default 500)\n"
-          "  --dead-after-ms N (dispatch) silence before a worker is declared\n"
-          "                  dead and its items re-dispatched (default 5000)\n"
-          "  --progress      (dispatch) render a live fleet snapshot to stderr\n"
-          "                  at the telemetry interval\n"
-          "  --telemetry-interval-ms N  (dispatch) worker metrics-snapshot and\n"
-          "                  --progress cadence (default 1000; 0 = fates only)\n"
-          "  -o FILE         write output to FILE instead of stdout\n";
-    return 2;
-}
-
 struct Options {
     std::string command;
-    std::string tspec_path;  // campaign: component name; stats: telemetry file
+    std::string tspec_path;  // the operand: t-spec, component or telemetry file
     driver::GeneratorOptions generator;
     codegen::CodegenOptions codegen;
     std::optional<std::string> output_path;
-    std::optional<std::string> new_tspec_path;     // replan
-    std::optional<std::string> frozen_suite_path;  // replan
-    std::size_t jobs = 1;                          // campaign
-    bool probe = false;                            // campaign
-    std::optional<std::string> store_path;         // campaign --resume
-    std::optional<std::string> telemetry_path;     // campaign --telemetry-out
-    std::optional<std::string> trace_path;         // --trace-out (any command)
-    std::optional<std::string> metrics_path;       // --metrics-out (any command)
-    std::size_t top = 10;                          // stats --top
-    bool follow = false;                           // stats --follow
-    bool json_stats = false;                       // stats --json
-    bool progress = false;                         // dispatch --progress
-    std::uint64_t telemetry_interval_ms = 1000;    // dispatch
-    std::size_t iters = 500;                       // fuzz --iters
-    std::optional<std::string> corpus_dir;         // fuzz/shrink --corpus
-    std::size_t max_shrink_steps = 512;            // fuzz/shrink/campaign
-    std::optional<std::string> mutant_id;          // fuzz/shrink --mutant
-    std::optional<std::string> case_path;          // shrink --case
-    std::optional<std::string> shrink_corpus;      // campaign --shrink-corpus
-    bool alive = false;                            // kill --alive
-    std::size_t budget_states = 4096;              // kill --budget-states
-    std::size_t max_depth = 12;                    // kill --max-depth
-    bool assembly = false;                         // campaign/dispatch --assembly
-    bool dot_product = false;                      // assemble --dot
-    bool list_transactions = false;                // assemble --transactions
-    bool isolate = false;                          // campaign/fuzz --isolate
-    bool model = false;                            // campaign/fuzz/run --model
-    bool prune = true;                             // campaign/dispatch --prune
-    std::uint64_t timeout_ms = 5000;               // --timeout-ms
-    std::uint64_t rlimit_as_mb = 0;                // --rlimit-as
-    std::uint64_t listen_port = 0;                 // serve --listen
-    std::string bind_host = "127.0.0.1";           // serve --bind
-    bool once = false;                             // serve --once
-    std::optional<std::string> workers;            // dispatch --workers
-    std::uint64_t keepalive_ms = 500;              // dispatch --keepalive-ms
-    std::uint64_t dead_after_ms = 5000;            // dispatch --dead-after-ms
-    std::vector<std::string> extra_inputs;         // stats: more JSONL files
-    obs::Context obs;                              // built in main()
+    std::optional<std::string> new_tspec_path;
+    std::optional<std::string> frozen_suite_path;
+    std::size_t jobs = 1;
+    bool probe = false;
+    std::optional<std::string> store_path;
+    std::optional<std::string> telemetry_path;
+    std::optional<std::string> trace_path;
+    std::optional<std::string> metrics_path;
+    std::size_t top = 10;
+    bool follow = false;
+    bool json_stats = false;
+    bool progress = false;
+    std::size_t iters = 500;
+    std::optional<std::string> corpus_dir;
+    std::size_t max_shrink_steps = 512;
+    std::optional<std::string> mutant_id;
+    std::optional<std::string> case_path;
+    std::optional<std::string> shrink_corpus;
+    bool alive = false;
+    kill::SearchOptions search;  // --budget-states, --max-depth
+    bool assembly = false;
+    bool dot_product = false;
+    bool list_transactions = false;
+    bool isolate = false;
+    bool model = false;
+    bool prune = true;
+    sandbox::SandboxLimits limits;  // --timeout-ms, --rlimit-as
+    serve::ServeOptions serve;      // --listen, --bind, --once
+    std::optional<std::string> workers;
+    serve::DispatchOptions dispatch;  // the --*-ms flags
+    std::vector<std::string> extra_inputs;  // stats: more JSONL files
+    obs::Context obs;                       // built in main()
 };
 
-/// Which options each subcommand takes.  `--trace-out`, `--metrics-out`
-/// and `-o` are accepted everywhere; everything else is per-command, so
-/// a stray flag fails loudly instead of being silently ignored.
-bool flag_allowed(const std::string& command, const std::string& flag) {
-    if (flag == "--trace-out" || flag == "--metrics-out" || flag == "-o") {
-        return true;
+/// How a flag's value is read: a switch takes none; a count must be a
+/// whole non-negative number no larger than the row's bound.
+enum class Kind { Switch, String, Criterion, Count };
+
+/// A flag's parsed value; the row's setter reads the member its kind fills.
+struct Value {
+    std::string text;
+    std::uint64_t count = 0;
+    tfm::Criterion criterion{};
+};
+
+/// One row of the flag table: the flag, its value kind and usage
+/// placeholder, the Options field it sets, the commands that accept it
+/// ("*" = every command) and its usage line.
+struct Flag {
+    const char* name;
+    Kind kind;
+    const char* metavar;
+    void (*set)(Options&, const Value&);
+    const char* commands;
+    const char* help;
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+};
+
+// Millisecond options the dispatch layer holds as int: a larger value
+// would wrap negative and insta-kill every worker's keepalive.
+constexpr std::uint64_t kIntMs = std::numeric_limits<int>::max();
+
+const Flag kFlags[] = {
+    {"--trace-out", Kind::String, "F", [](auto& o, auto& v) { o.trace_path = v.text; },
+     "*", "Chrome trace-event JSON of this run"},
+    {"--metrics-out", Kind::String, "F",
+     [](auto& o, auto& v) { o.metrics_path = v.text; },
+     "*", "metrics dump; JSON when F ends in .json"},
+    {"-o", Kind::String, "FILE", [](auto& o, auto& v) { o.output_path = v.text; },
+     "*", "write output to FILE instead of stdout"},
+    {"--seed", Kind::Count, "N", [](auto& o, auto& v) { o.generator.seed = v.count; },
+     "suite gen campaign kill fuzz run dispatch", "random seed for value generation"},
+    {"--max-visits", Kind::Count, "N",
+     [](auto& o, auto& v) { o.generator.enumeration.max_node_visits = v.count; },
+     "describe transactions coverage assemble suite gen campaign kill fuzz run dispatch",
+     "cycle unrolling bound (default 2)"},
+    {"--cases", Kind::Count, "N",
+     [](auto& o, auto& v) { o.generator.cases_per_transaction = v.count; },
+     "suite gen campaign kill fuzz run dispatch",
+     "test cases per transaction (default 1)"},
+    {"--criterion", Kind::Criterion, "C",
+     [](auto& o, auto& v) { o.generator.criterion = v.criterion; },
+     "transactions coverage assemble suite gen campaign kill run dispatch",
+     "all-transactions | all-links | all-nodes"},
+    {"--states", Kind::Switch, "",
+     [](auto& o, auto&) { o.generator.include_entry_states = true; },
+     "suite gen campaign kill run dispatch",
+     "also generate mid-life entry variants (State records)"},
+    {"--include", Kind::String, "H",
+     [](auto& o, auto& v) { o.codegen.includes.push_back(v.text); },
+     "gen", "#include to emit; repeatable"},
+    {"--using", Kind::String, "NS",
+     [](auto& o, auto& v) { o.codegen.usings.push_back(v.text); },
+     "gen", "using namespace to emit; repeatable"},
+    {"--log", Kind::String, "FILE", [](auto& o, auto& v) { o.codegen.log_file = v.text; },
+     "gen", "log file used by the generated driver"},
+    {"--new", Kind::String, "FILE", [](auto& o, auto& v) { o.new_tspec_path = v.text; },
+     "replan", "the new release's t-spec (required)"},
+    {"--frozen", Kind::String, "FILE",
+     [](auto& o, auto& v) { o.frozen_suite_path = v.text; },
+     "replan", "the frozen concat-suite file (required); -o gets its still-valid cases"},
+    {"--assembly", Kind::Switch, "", [](auto& o, auto&) { o.assembly = true; },
+     "campaign kill dispatch",
+     "the target is an assembly product; required for assembly targets, rejected for "
+     "single-class ones"},
+    {"--dot", Kind::Switch, "", [](auto& o, auto&) { o.dot_product = true; },
+     "assemble", "Graphviz DOT of the product TFM"},
+    {"--transactions", Kind::Switch, "",
+     [](auto& o, auto&) { o.list_transactions = true; },
+     "assemble", "enumerate the product's transactions"},
+    {"--jobs", Kind::Count, "N", [](auto& o, auto& v) { o.jobs = v.count; },
+     "campaign kill", "worker threads; 0 = all cores (default 1)"},
+    {"--probe", Kind::Switch, "", [](auto& o, auto&) { o.probe = true; },
+     "campaign kill dispatch", "amplified probe suite for equivalence"},
+    {"--resume", Kind::String, "FILE", [](auto& o, auto& v) { o.store_path = v.text; },
+     "campaign kill dispatch",
+     "resumable result store (JSONL); kill requires it, reads the survivors from it and "
+     "writes raised fates back"},
+    {"--telemetry-out", Kind::String, "F",
+     [](auto& o, auto& v) { o.telemetry_path = v.text; },
+     "campaign kill fuzz serve dispatch", "JSONL telemetry"},
+    {"--shrink-corpus", Kind::String, "DIR",
+     [](auto& o, auto& v) { o.shrink_corpus = v.text; },
+     "campaign", "shrink each kill into corpus directory DIR"},
+    {"--isolate", Kind::Switch, "", [](auto& o, auto&) { o.isolate = true; },
+     "campaign fuzz",
+     "run each item in a forked sandbox worker: a real crash/hang/OOM kills only the "
+     "worker"},
+    {"--timeout-ms", Kind::Count, "N", [](auto& o, auto& v) { o.limits.timeout_ms = v.count; },
+     "campaign fuzz",
+     "with --isolate: per-item wall deadline, then SIGKILL (default 5000; 0 disables)"},
+    {"--rlimit-as", Kind::Count, "MB", [](auto& o, auto& v) { o.limits.rlimit_as_mb = v.count; },
+     "campaign fuzz", "with --isolate: worker address-space cap (RLIMIT_AS)"},
+    {"--model", Kind::Switch, "", [](auto& o, auto&) { o.model = true; },
+     "campaign kill fuzz run dispatch",
+     "lockstep reference-model oracle (stc::model): kills/verdicts on divergence"},
+    {"--prune", Kind::Switch, "", [](auto& o, auto&) { o.prune = true; },
+     "campaign kill dispatch",
+     "the fast execution tier (default on): skip (mutant, case) pairs the coverage index "
+     "proves unreachable and resume covered cases from shared-prefix checkpoints; fates "
+     "are byte-identical either way"},
+    {"--no-prune", Kind::Switch, "", [](auto& o, auto&) { o.prune = false; },
+     "campaign kill dispatch", "run every (mutant, case) pair: the exhaustive reference"},
+    {"--alive", Kind::Switch, "", [](auto& o, auto&) { o.alive = true; },
+     "kill", "target the store's surviving mutants (required)"},
+    {"--budget-states", Kind::Count, "N",
+     [](auto& o, auto& v) { o.search.budget_states = v.count; },
+     "kill",
+     "product states the search may enqueue per mutant, across all value rounds "
+     "(default 4096)"},
+    {"--max-depth", Kind::Count, "N", [](auto& o, auto& v) { o.search.max_depth = v.count; },
+     "kill", "longest explored call path (default 12)"},
+    {"--iters", Kind::Count, "N", [](auto& o, auto& v) { o.iters = v.count; },
+     "fuzz", "exploration executions (default 500)"},
+    {"--corpus", Kind::String, "DIR", [](auto& o, auto& v) { o.corpus_dir = v.text; },
+     "kill fuzz shrink", "corpus directory for reproducers"},
+    {"--mutant", Kind::String, "ID", [](auto& o, auto& v) { o.mutant_id = v.text; },
+     "fuzz run shrink",
+     "activate this mutant while running (shrink: instead of the entry's)"},
+    {"--max-shrink-steps", Kind::Count, "N",
+     [](auto& o, auto& v) { o.max_shrink_steps = v.count; },
+     "campaign kill fuzz shrink", "shrink budget per finding (default 512)"},
+    {"--case", Kind::String, "FILE", [](auto& o, auto& v) { o.case_path = v.text; },
+     "shrink", "the corpus entry to re-shrink (required)"},
+    {"--top", Kind::Count, "N", [](auto& o, auto& v) { o.top = v.count; },
+     "stats", "rows in the slowest-item table (default 10)"},
+    {"--follow", Kind::Switch, "", [](auto& o, auto&) { o.follow = true; },
+     "stats",
+     "tail ONE growing telemetry file, re-render a live snapshot per batch, exit at "
+     "campaign-end"},
+    {"--json", Kind::Switch, "", [](auto& o, auto&) { o.json_stats = true; },
+     "stats", "machine-readable summary instead of tables"},
+    {"--listen", Kind::Count, "PORT", [](auto& o, auto& v) { o.serve.port = v.count; },
+     "serve", "TCP port to listen on (0 = ephemeral, printed on stdout)", 65535},
+    {"--bind", Kind::String, "ADDR", [](auto& o, auto& v) { o.serve.bind_host = v.text; },
+     "serve",
+     "listen address (default 127.0.0.1; the protocol is unauthenticated, so 0.0.0.0 "
+     "opts in to cross-host exposure)"},
+    {"--once", Kind::Switch, "", [](auto& o, auto&) { o.serve.once = true; },
+     "serve", "exit after one coordinator session"},
+    {"--workers", Kind::String, "LIST", [](auto& o, auto& v) { o.workers = v.text; },
+     "dispatch", "comma-separated host:port daemons (required)"},
+    {"--keepalive-ms", Kind::Count, "N",
+     [](auto& o, auto& v) { o.dispatch.keepalive_ms = v.count; },
+     "dispatch", "silence before a ping (default 500)", kIntMs},
+    {"--dead-after-ms", Kind::Count, "N",
+     [](auto& o, auto& v) { o.dispatch.dead_after_ms = v.count; },
+     "dispatch",
+     "silence before a worker is declared dead and its items re-dispatched "
+     "(default 5000)",
+     kIntMs},
+    {"--progress", Kind::Switch, "", [](auto& o, auto&) { o.progress = true; },
+     "dispatch", "render a live fleet snapshot to stderr at the telemetry interval"},
+    {"--telemetry-interval-ms", Kind::Count, "N",
+     [](auto& o, auto& v) { o.dispatch.telemetry_interval_ms = v.count; },
+     "dispatch",
+     "worker metrics-snapshot and --progress cadence (default 1000; 0 = fates only)",
+     kIntMs},
+};
+
+bool accepts(const Flag& flag, const std::string& command) {
+    if (std::strcmp(flag.commands, "*") == 0) return true;
+    const std::string list = " " + std::string(flag.commands) + " ";
+    return list.find(" " + command + " ") != std::string::npos;
+}
+
+/// The row of `table` named `name`, or nullptr.
+template <typename Row, std::size_t N>
+const Row* find_row(const Row (&table)[N], const std::string& name) {
+    for (const Row& row : table) {
+        if (name == row.name) return &row;
     }
-    auto any_of = [&flag](std::initializer_list<const char*> flags) {
-        for (const char* f : flags) {
-            if (flag == f) return true;
+    return nullptr;
+}
+
+/// Read `value.text` as `flag`'s kind wants it; false (with a message)
+/// on a malformed or out-of-range value, so `--jobs banana` is a usage
+/// error, not an abort.
+bool read_value(const Flag& flag, Value& value) {
+    if (flag.kind == Kind::Criterion) {
+        const auto criterion = tfm::criterion_from_string(value.text);
+        if (!criterion) {
+            std::cerr << "concat: " << flag.name << " expects " << flag.help
+                      << ", got '" << value.text << "'\n";
+            return false;
         }
-        return false;
-    };
-    if (command == "validate" || command == "print" || command == "dot") {
-        return false;
+        value.criterion = *criterion;
+    } else if (flag.kind == Kind::Count) {
+        const char* end = value.text.data() + value.text.size();
+        const auto [p, ec] =
+            std::from_chars(value.text.data(), end, value.count);
+        if (ec != std::errc() || p != end || value.count > flag.max) {
+            std::cerr << "concat: " << flag.name << " expects a non-negative number";
+            if (flag.max != std::numeric_limits<std::uint64_t>::max()) {
+                std::cerr << " no larger than " << flag.max;
+            }
+            std::cerr << ", got '" << value.text << "'\n";
+            return false;
+        }
     }
-    if (command == "describe") return any_of({"--max-visits"});
-    if (command == "transactions" || command == "coverage") {
-        return any_of({"--max-visits", "--criterion"});
-    }
-    if (command == "assemble") {
-        return any_of(
-            {"--max-visits", "--criterion", "--dot", "--transactions"});
-    }
-    if (command == "suite") {
-        return any_of(
-            {"--seed", "--max-visits", "--cases", "--criterion", "--states"});
-    }
-    if (command == "gen") {
-        return any_of({"--seed", "--max-visits", "--cases", "--criterion",
-                       "--states", "--include", "--using", "--log"});
-    }
-    if (command == "replan") return any_of({"--new", "--frozen"});
-    if (command == "campaign") {
-        return any_of({"--seed", "--max-visits", "--cases", "--criterion",
-                       "--states", "--jobs", "--probe", "--resume",
-                       "--telemetry-out", "--shrink-corpus",
-                       "--max-shrink-steps", "--isolate", "--timeout-ms",
-                       "--rlimit-as", "--model", "--prune", "--no-prune",
-                       "--assembly"});
-    }
-    if (command == "kill") {
-        return any_of({"--alive", "--budget-states", "--max-depth", "--seed",
-                       "--max-visits", "--cases", "--criterion", "--states",
-                       "--jobs", "--probe", "--resume", "--telemetry-out",
-                       "--corpus", "--max-shrink-steps", "--model", "--prune",
-                       "--no-prune", "--assembly"});
-    }
-    if (command == "fuzz") {
-        return any_of({"--iters", "--seed", "--corpus", "--max-shrink-steps",
-                       "--mutant", "--max-visits", "--cases",
-                       "--telemetry-out", "--isolate", "--timeout-ms",
-                       "--rlimit-as", "--model"});
-    }
-    if (command == "run") {
-        return any_of({"--seed", "--max-visits", "--cases", "--criterion",
-                       "--states", "--mutant", "--model"});
-    }
-    if (command == "shrink") {
-        return any_of(
-            {"--case", "--mutant", "--max-shrink-steps", "--corpus", "--seed"});
-    }
-    if (command == "stats") return any_of({"--top", "--follow", "--json"});
-    if (command == "serve") {
-        return any_of({"--listen", "--bind", "--once", "--telemetry-out"});
-    }
-    if (command == "dispatch") {
-        return any_of({"--seed", "--max-visits", "--cases", "--criterion",
-                       "--states", "--probe", "--model", "--prune",
-                       "--no-prune", "--workers",
-                       "--resume", "--telemetry-out", "--keepalive-ms",
-                       "--dead-after-ms", "--progress",
-                       "--telemetry-interval-ms", "--assembly"});
-    }
-    // Unknown command: main() reports it; don't reject its flags first.
     return true;
-}
-
-/// Strict numeric flag parsing: the whole token must be a number.
-/// std::nullopt (with a message) instead of std::stoull's uncaught
-/// std::invalid_argument, so `--jobs banana` is a usage error, not an
-/// abort.
-std::optional<std::uint64_t> parse_count(const std::string& flag,
-                                         const std::string& text) {
-    std::uint64_t value = 0;
-    const auto [p, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || p != text.data() + text.size()) {
-        std::cerr << "concat: " << flag << " expects a non-negative number, got '"
-                  << text << "'\n";
-        return std::nullopt;
-    }
-    return value;
-}
-
-std::optional<Options> parse_args(int argc, char** argv) {
-    if (argc < 2) return std::nullopt;
-    Options out;
-    out.command = argv[1];
-    // `serve` takes no positional operand — the campaign config arrives
-    // in the coordinator's handshake — so argv[2] may already be a flag
-    // (or absent: an ephemeral-port daemon).
-    int first = 3;
-    if (out.command == "serve") {
-        first = 2;
-    } else if (out.command == "stats") {
-        // Flags may precede the file (`stats --follow F`); the loop
-        // below collects every positional into extra_inputs and the
-        // first one is promoted to the primary file afterwards.
-        first = 2;
-    } else {
-        if (argc < 3) return std::nullopt;
-        out.tspec_path = argv[2];
-    }
-
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::optional<std::string> {
-            if (i + 1 >= argc) return std::nullopt;
-            return std::string(argv[++i]);
-        };
-        if (!arg.empty() && arg[0] != '-') {
-            // `stats` aggregates any number of telemetry files; no
-            // other command takes extra positional operands.
-            if (out.command == "stats") {
-                out.extra_inputs.push_back(arg);
-                continue;
-            }
-            std::cerr << "concat " << out.command << ": unexpected operand '"
-                      << arg << "'\n";
-            return std::nullopt;
-        }
-        if (!flag_allowed(out.command, arg)) {
-            std::cerr << "concat " << out.command << ": unknown option '" << arg
-                      << "'\n";
-            return std::nullopt;
-        }
-        if (arg == "--seed") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            const auto n = parse_count(arg, *v);
-            if (!n) return std::nullopt;
-            out.generator.seed = *n;
-        } else if (arg == "--max-visits") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            const auto n = parse_count(arg, *v);
-            if (!n) return std::nullopt;
-            out.generator.enumeration.max_node_visits = *n;
-        } else if (arg == "--cases") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            const auto n = parse_count(arg, *v);
-            if (!n) return std::nullopt;
-            out.generator.cases_per_transaction = *n;
-        } else if (arg == "--criterion") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            const auto criterion = tfm::criterion_from_string(*v);
-            if (!criterion) return std::nullopt;
-            out.generator.criterion = *criterion;
-        } else if (arg == "--states") {
-            out.generator.include_entry_states = true;
-        } else if (arg == "--include") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            out.codegen.includes.push_back(*v);
-        } else if (arg == "--using") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            out.codegen.usings.push_back(*v);
-        } else if (arg == "--log") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            out.codegen.log_file = *v;
-        } else if (arg == "--new") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            out.new_tspec_path = *v;
-        } else if (arg == "--frozen") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            out.frozen_suite_path = *v;
-        } else if (arg == "--jobs") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            const auto n = parse_count(arg, *v);
-            if (!n) return std::nullopt;
-            out.jobs = *n;
-        } else if (arg == "--probe") {
-            out.probe = true;
-        } else if (arg == "--resume") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            out.store_path = *v;
-        } else if (arg == "--telemetry-out") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            out.telemetry_path = *v;
-        } else if (arg == "--trace-out") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            out.trace_path = *v;
-        } else if (arg == "--metrics-out") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            out.metrics_path = *v;
-        } else if (arg == "--iters") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            const auto n = parse_count(arg, *v);
-            if (!n) return std::nullopt;
-            out.iters = *n;
-        } else if (arg == "--corpus") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            out.corpus_dir = *v;
-        } else if (arg == "--max-shrink-steps") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            const auto n = parse_count(arg, *v);
-            if (!n) return std::nullopt;
-            out.max_shrink_steps = *n;
-        } else if (arg == "--mutant") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            out.mutant_id = *v;
-        } else if (arg == "--case") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            out.case_path = *v;
-        } else if (arg == "--shrink-corpus") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            out.shrink_corpus = *v;
-        } else if (arg == "--alive") {
-            out.alive = true;
-        } else if (arg == "--budget-states") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            const auto n = parse_count(arg, *v);
-            if (!n) return std::nullopt;
-            out.budget_states = *n;
-        } else if (arg == "--max-depth") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            const auto n = parse_count(arg, *v);
-            if (!n) return std::nullopt;
-            out.max_depth = *n;
-        } else if (arg == "--assembly") {
-            out.assembly = true;
-        } else if (arg == "--dot") {
-            out.dot_product = true;
-        } else if (arg == "--transactions") {
-            out.list_transactions = true;
-        } else if (arg == "--isolate") {
-            out.isolate = true;
-        } else if (arg == "--model") {
-            out.model = true;
-        } else if (arg == "--prune") {
-            out.prune = true;
-        } else if (arg == "--no-prune") {
-            out.prune = false;
-        } else if (arg == "--timeout-ms") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            const auto n = parse_count(arg, *v);
-            if (!n) return std::nullopt;
-            out.timeout_ms = *n;
-        } else if (arg == "--rlimit-as") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            const auto n = parse_count(arg, *v);
-            if (!n) return std::nullopt;
-            out.rlimit_as_mb = *n;
-        } else if (arg == "--top") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            const auto n = parse_count(arg, *v);
-            if (!n) return std::nullopt;
-            out.top = *n;
-        } else if (arg == "--follow") {
-            out.follow = true;
-        } else if (arg == "--json") {
-            out.json_stats = true;
-        } else if (arg == "--progress") {
-            out.progress = true;
-        } else if (arg == "--telemetry-interval-ms") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            const auto n = parse_count(arg, *v);
-            if (!n) return std::nullopt;
-            if (*n > static_cast<std::uint64_t>(
-                         std::numeric_limits<int>::max())) {
-                std::cerr << "concat dispatch: " << arg << " too large (max "
-                          << std::numeric_limits<int>::max() << ")\n";
-                return std::nullopt;
-            }
-            out.telemetry_interval_ms = *n;
-        } else if (arg == "--listen") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            const auto n = parse_count(arg, *v);
-            if (!n) return std::nullopt;
-            if (*n > 65535) {
-                std::cerr << "concat serve: --listen expects a port (0-65535)\n";
-                return std::nullopt;
-            }
-            out.listen_port = *n;
-        } else if (arg == "--bind") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            out.bind_host = *v;
-        } else if (arg == "--once") {
-            out.once = true;
-        } else if (arg == "--workers") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            out.workers = *v;
-        } else if (arg == "--keepalive-ms" || arg == "--dead-after-ms") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            const auto n = parse_count(arg, *v);
-            if (!n) return std::nullopt;
-            // The dispatch options hold these as int milliseconds; a
-            // larger value would wrap negative and insta-kill every
-            // worker's keepalive.
-            if (*n > static_cast<std::uint64_t>(
-                         std::numeric_limits<int>::max())) {
-                std::cerr << "concat dispatch: " << arg << " too large (max "
-                          << std::numeric_limits<int>::max() << ")\n";
-                return std::nullopt;
-            }
-            (arg == "--keepalive-ms" ? out.keepalive_ms : out.dead_after_ms) =
-                *n;
-        } else if (arg == "-o") {
-            const auto v = next();
-            if (!v) return std::nullopt;
-            out.output_path = *v;
-        } else {
-            std::cerr << "concat " << out.command << ": unknown option '" << arg
-                      << "'\n";
-            return std::nullopt;
-        }
-    }
-    if (out.command == "stats") {
-        if (out.extra_inputs.empty()) return std::nullopt;  // no file given
-        out.tspec_path = out.extra_inputs.front();
-        out.extra_inputs.erase(out.extra_inputs.begin());
-    }
-    return out;
 }
 
 std::string read_file(const std::string& path) {
@@ -785,20 +492,6 @@ int cmd_gen(const Options& options, const tspec::ComponentSpec& spec) {
     return emit(options, generator.suite_source(suite));
 }
 
-/// Resolve --model for `class_name`: the registered lockstep binding,
-/// or nullopt (+ diagnostic listing the modeled classes) when none
-/// exists — a typo'd component must not silently run model-less.
-std::optional<const driver::ModelBinding*> resolve_model(
-    const std::string& command, const std::string& class_name) {
-    const driver::ModelBinding* binding = model::binding_for(class_name);
-    if (binding != nullptr) return binding;
-    std::cerr << "concat " << command << ": no reference model for '"
-              << class_name << "' (models exist for:";
-    for (const auto& name : model::modeled_classes()) std::cerr << " " << name;
-    std::cerr << ")\n";
-    return std::nullopt;
-}
-
 int cmd_replan(const Options& options, const tspec::ComponentSpec& old_spec) {
     if (!options.new_tspec_path || !options.frozen_suite_path) {
         std::cerr << "concat replan: --new and --frozen are required\n";
@@ -839,20 +532,14 @@ int cmd_replan(const Options& options, const tspec::ComponentSpec& old_spec) {
 /// dispatch over an assembly product states so explicitly, and a
 /// single-class target rejects the flag — the report headers look alike
 /// and a silent mixup would invalidate the interface-vs-assembly
-/// comparison.  Returns the exit code (0 = consistent).
-int check_assembly_flag(const std::string& command, const Options& options,
-                        const serve::BuiltinTarget& target) {
-    if (target.assembly && !options.assembly) {
-        std::cerr << "concat " << command << ": '" << options.tspec_path
-                  << "' is an assembly product; pass --assembly\n";
-        return 2;
-    }
-    if (!target.assembly && options.assembly) {
-        std::cerr << "concat " << command << ": '" << options.tspec_path
-                  << "' is a single-class component; drop --assembly\n";
-        return 2;
-    }
-    return 0;
+/// comparison.  Returns the exit code: 0 when consistent, or when the
+/// target is unknown (the caller reports that).
+int check_assembly_flag(const Options& options, const serve::BuiltinTarget* target) {
+    if (target == nullptr || target->assembly == options.assembly) return 0;
+    std::cerr << "concat " << options.command << ": '" << options.tspec_path << "' is "
+              << (target->assembly ? "an assembly product; pass --assembly\n"
+                                   : "a single-class component; drop --assembly\n");
+    return 2;
 }
 
 /// The campaign config a builtin-target command line names — the same
@@ -865,6 +552,25 @@ serve::BuiltinCampaignConfig builtin_config(const Options& options) {
     config.model = options.model;
     config.prune = options.prune;
     return config;
+}
+
+/// The registered single-class target `kill`, `fuzz`, `run` and `shrink`
+/// drive, or nullptr (+ message) for an unknown name or an assembly
+/// product, which has neither one class's TFM nor a reference model.
+const serve::BuiltinTarget* single_class_target(const Options& options) {
+    const std::string& which = options.tspec_path;
+    const serve::BuiltinTarget* target = serve::find_builtin_target(which);
+    if (target == nullptr) {
+        std::cerr << "concat " << options.command << ": unknown component '"
+                  << which << "' (expected one of: "
+                  << support::join(serve::builtin_target_names(), ", ") << ")\n";
+    } else if (target->assembly) {
+        std::cerr << "concat " << options.command << ": '" << which
+                  << "' is an assembly product; this command takes "
+                     "single-class components only\n";
+        return nullptr;
+    }
+    return target;
 }
 
 // `concat campaign <component>`: run an interface-mutation campaign
@@ -893,11 +599,9 @@ int cmd_campaign(const Options& options) {
         return 2;
     }
     const serve::BuiltinCampaignConfig config = builtin_config(options);
-    if (const serve::BuiltinTarget* target =
-            serve::find_builtin_target(config.component)) {
-        if (const int rc = check_assembly_flag(command, options, *target)) {
-            return rc;
-        }
+    if (const int rc = check_assembly_flag(
+            options, serve::find_builtin_target(config.component))) {
+        return rc;
     }
     std::string error;
     auto inputs = serve::make_builtin_inputs(config, &error);
@@ -924,10 +628,8 @@ int cmd_campaign(const Options& options) {
         campaign_options.completions = inputs->holder.completions;
     }
     if (options.isolate) {
-        sandbox::SandboxLimits limits;
-        limits.timeout_ms = options.timeout_ms;
-        limits.rlimit_as_mb = options.rlimit_as_mb;
-        campaign_options.executor = std::make_shared<sandbox::SandboxExecutor>(limits);
+        campaign_options.executor =
+            std::make_shared<sandbox::SandboxExecutor>(options.limits);
     }
 
     // dispatch --progress folds every telemetry event — the scheduler's
@@ -947,10 +649,8 @@ int cmd_campaign(const Options& options) {
     };
     std::shared_ptr<serve::RemoteExecutor> fleet;
     if (remote) {
-        serve::DispatchOptions dispatch_options;
+        serve::DispatchOptions dispatch_options = options.dispatch;
         dispatch_options.workers = serve::parse_endpoints(*options.workers);
-        dispatch_options.keepalive_ms = static_cast<int>(options.keepalive_ms);
-        dispatch_options.dead_after_ms = static_cast<int>(options.dead_after_ms);
         dispatch_options.obs = options.obs;
         // Event streaming is requested whenever the coordinator has
         // somewhere to put the workers' events: a --telemetry-out sink
@@ -959,8 +659,6 @@ int cmd_campaign(const Options& options) {
         // the coordinator when its tracer is enabled).
         dispatch_options.stream_telemetry =
             options.telemetry_path.has_value() || options.progress;
-        dispatch_options.telemetry_interval_ms =
-            static_cast<int>(options.telemetry_interval_ms);
         std::function<void(const obs::JsonObject&)> observe;
         if (options.progress) {
             observe = [&](const obs::JsonObject& event) {
@@ -968,7 +666,7 @@ int cmd_campaign(const Options& options) {
                 const auto now = std::chrono::steady_clock::now();
                 if (now - last_progress <
                     std::chrono::milliseconds(
-                        std::max<std::uint64_t>(options.telemetry_interval_ms, 1))) {
+                        std::max(options.dispatch.telemetry_interval_ms, 1))) {
                     return;
                 }
                 last_progress = now;
@@ -1031,22 +729,9 @@ int cmd_campaign(const Options& options) {
 // stats` reflect the new score.  The report is a pure function of
 // (component, store, seed, budget): byte-identical across --jobs.
 int cmd_kill(const Options& options) {
-    // Killer synthesis pairs one class's TFM with one reference model;
-    // an assembly product has neither, so both directions of the
-    // campaign/dispatch --assembly gating collapse to a rejection here.
-    const std::string which = options.tspec_path;
-    const serve::BuiltinTarget* target = serve::find_builtin_target(which);
-    if (target != nullptr && target->assembly) {
-        std::cerr << "concat kill: '" << which
-                  << "' is an assembly product; killer synthesis runs on "
-                     "single-class components only\n";
-        return 2;
-    }
-    if (target != nullptr && options.assembly) {
-        std::cerr << "concat kill: '" << which
-                  << "' is a single-class component; drop --assembly\n";
-        return 2;
-    }
+    const serve::BuiltinTarget* target = single_class_target(options);
+    if (target == nullptr) return 2;
+    if (const int rc = check_assembly_flag(options, target)) return rc;
     if (!options.alive) {
         std::cerr << "concat kill: pass --alive (the pass targets the "
                      "store's surviving mutants)\n";
@@ -1109,14 +794,14 @@ int cmd_kill(const Options& options) {
 
     kill::KillOptions kill_options;
     kill_options.seed = options.generator.seed;
-    kill_options.jobs =
-        options.jobs == 0 ? std::thread::hardware_concurrency() : options.jobs;
+    kill_options.jobs = options.jobs == 0
+                            ? campaign::WorkStealingPool::hardware_workers()
+                            : options.jobs;
     if (options.corpus_dir) kill_options.corpus_dir = *options.corpus_dir;
     kill_options.max_shrink_steps = options.max_shrink_steps;
     kill_options.obs = options.obs;
+    kill_options.search = options.search;
     kill_options.search.seed = options.generator.seed;
-    kill_options.search.budget_states = options.budget_states;
-    kill_options.search.max_depth = options.max_depth;
     kill_options.search.runner.obs = options.obs;
     kill_options.search.runner.model = model_binding;
     kill_options.search.obs = options.obs;
@@ -1147,81 +832,99 @@ int cmd_kill(const Options& options) {
     return emit(options, report.str());
 }
 
-/// Shared by fuzz/shrink: the built-in component named on the command
-/// line, or std::nullopt (+ usage message) for anything else.  The
-/// caller owns `pool`; it must outlive the returned component's
-/// completions.
-std::optional<core::SelfTestableComponent> make_builtin(
-    const std::string& command, const std::string& which) {
-    if (which != "coblist" && which != "sortable") {
-        std::cerr << "concat " << command << ": unknown component '" << which
-                  << "' (expected coblist or sortable)\n";
-        return std::nullopt;
+/// What `fuzz`, `run` and `shrink` drive: a registered single-class
+/// target's component with its completions, its mutant population, and
+/// runner options carrying --model.
+struct Subject {
+    serve::BuiltinComponent holder;
+    const driver::CompletionRegistry* completions = nullptr;
+    std::vector<mutation::Mutant> mutants;
+    driver::RunnerOptions runner;
+
+    [[nodiscard]] const core::SelfTestableComponent& component() const {
+        return *holder.component;
     }
-    return which == "coblist"
-               ? core::SelfTestableComponent(mfc::coblist_spec(),
-                                             mfc::coblist_binding())
-               : core::SelfTestableComponent(mfc::sortable_spec(),
-                                             mfc::sortable_binding());
+    [[nodiscard]] const std::string& class_name() const {
+        return component().spec().class_name;
+    }
+};
+
+std::optional<Subject> resolve_subject(const Options& options) {
+    const serve::BuiltinTarget* target = single_class_target(options);
+    if (target == nullptr) return std::nullopt;
+    static const driver::CompletionRegistry kNoCompletions;
+    Subject subject;
+    subject.holder = target->make_component();
+    subject.completions = subject.holder.completions != nullptr
+                              ? subject.holder.completions
+                              : &kNoCompletions;
+    subject.mutants = target->mutants();
+    subject.runner.obs = options.obs;
+    if (options.model) {
+        // Promotion turns a clean-run divergence into
+        // Verdict::ModelDivergence: fuzzing treats it as a novel verdict
+        // kind, dedupes findings by (model-divergence, method) and
+        // shrinks while preserving it; `run` reports it per case.  A
+        // component without a model must not silently run model-less.
+        subject.runner.model = model::binding_for(subject.class_name());
+        if (subject.runner.model == nullptr) {
+            std::cerr << "concat " << options.command
+                      << ": no reference model for '" << subject.class_name()
+                      << "' (models exist for: "
+                      << support::join(model::modeled_classes(), " ") << ")\n";
+            return std::nullopt;
+        }
+        subject.runner.promote_divergence = true;
+    }
+    return subject;
 }
 
 /// Resolve --mutant against the enumerated mutants of `class_name`.
 /// Returns nullptr when id is empty; exits via nullopt on unknown ids so
 /// a typo cannot silently fuzz the pristine component.
 std::optional<const mutation::Mutant*> resolve_mutant(
-    const std::string& command, const std::vector<mutation::Mutant>& mutants,
+    const Options& options, const std::vector<mutation::Mutant>& mutants,
     const std::string& id) {
     if (id.empty()) return nullptr;
     for (const auto& m : mutants) {
         if (m.id() == id) return &m;
     }
-    std::cerr << "concat " << command << ": unknown mutant '" << id << "'\n";
+    std::cerr << "concat " << options.command << ": unknown mutant '" << id
+              << "'\n";
     return std::nullopt;
 }
 
-// `concat fuzz <coblist|sortable>`: coverage-guided fuzzing of a
-// built-in component (optionally with one mutant active, for seeded
+/// `body()`, run with `mutant` active (as is when it is null).
+template <typename Body>
+auto with_mutant(const mutation::Mutant* mutant, const Body& body) {
+    if (mutant == nullptr) return body();
+    const mutation::MutantActivation active(*mutant);
+    return body();
+}
+
+// `concat fuzz <component>`: coverage-guided fuzzing of a registered
+// single-class component (optionally with one mutant active, for seeded
 // faults).  Findings are minimized by the shrinker and — with --corpus —
 // persisted as replayable reproducers.  The stdout report is a pure
 // function of (component, seed, iters, mutant): corpus filenames are
 // printed without their directory so two same-seed runs into different
 // corpus directories still byte-match (the CI seed-stability gate).
 int cmd_fuzz(const Options& options) {
-    mfc::ElementPool pool;
-    auto component = make_builtin("fuzz", options.tspec_path);
-    if (!component) return 2;
-    const driver::CompletionRegistry completions = mfc::make_completions(pool);
-    component->set_completions(completions);
-    const std::string& class_name = component->spec().class_name;
-
-    const auto mutants = mutation::enumerate_mutants(mfc::descriptors(), class_name);
+    const auto subject = resolve_subject(options);
+    if (!subject) return 2;
+    const std::string& class_name = subject->class_name();
+    const driver::CompletionRegistry& completions = *subject->completions;
     const auto mutant =
-        resolve_mutant("fuzz", mutants, options.mutant_id.value_or(""));
+        resolve_mutant(options, subject->mutants, options.mutant_id.value_or(""));
     if (!mutant) return 2;
 
-    driver::RunnerOptions runner_options;
-    runner_options.obs = options.obs;
-    if (options.model) {
-        // Fuzzing wants divergence as a first-class signal: promotion
-        // turns a clean-run divergence into Verdict::ModelDivergence, so
-        // the coverage map treats it as a novel verdict kind, findings
-        // dedupe by (model-divergence, method), and the shrinker
-        // minimizes while preserving the divergence.
-        const auto model_binding = resolve_model("fuzz", class_name);
-        if (!model_binding) return 2;
-        runner_options.model = *model_binding;
-        runner_options.promote_divergence = true;
-    }
-    const driver::TestRunner runner(component->registry(), runner_options);
-    const reflect::ClassBinding& binding = component->registry().at(class_name);
-
+    const driver::TestRunner runner(subject->component().registry(),
+                                    subject->runner);
+    const reflect::ClassBinding& binding =
+        subject->component().registry().at(class_name);
     const auto run_in_process =
         [&](const driver::TestCase& tc) -> driver::TestResult {
-        if (*mutant) {
-            const mutation::MutantActivation active(**mutant);
-            return runner.run_case(binding, tc);
-        }
-        return runner.run_case(binding, tc);
+        return with_mutant(*mutant, [&] { return runner.run_case(binding, tc); });
     };
 
     // --isolate: replay each case in a persistent forked worker.  The
@@ -1239,10 +942,7 @@ int cmd_fuzz(const Options& options) {
             if (one.cases.empty()) throw Error("sandbox: empty case payload");
             return sandbox::encode_result(run_in_process(one.cases.front()));
         };
-        sandbox::SandboxLimits limits;
-        limits.timeout_ms = options.timeout_ms;
-        limits.rlimit_as_mb = options.rlimit_as_mb;
-        isolated.emplace(job, limits);
+        isolated.emplace(job, options.limits);
     }
 
     const fuzz::CaseRunner case_runner =
@@ -1277,7 +977,7 @@ int cmd_fuzz(const Options& options) {
     fuzz_options.mutant_id = options.mutant_id.value_or("");
     fuzz_options.obs = options.obs;
 
-    fuzz::Fuzzer fuzzer(component->spec(), fuzz_options);
+    fuzz::Fuzzer fuzzer(subject->component().spec(), fuzz_options);
     fuzzer.completions(&completions).case_runner(case_runner);
     const fuzz::FuzzResult result = fuzzer.run();
 
@@ -1298,10 +998,7 @@ int cmd_fuzz(const Options& options) {
                                     finding.to_corpus_entry(class_name),
                                     &completions, case_runner, entry_seed);
             if (outcome.reproducible) {
-                const auto slash = outcome.path.find_last_of('/');
-                line << "  -> "
-                     << (slash == std::string::npos ? outcome.path
-                                                    : outcome.path.substr(slash + 1));
+                line << "  -> " << std::filesystem::path(outcome.path).filename().string();
             } else {
                 line << "  [NOT-REPRODUCIBLE]";
                 rc = 1;
@@ -1311,25 +1008,23 @@ int cmd_fuzz(const Options& options) {
     }
 
     if (options.telemetry_path) {
+        const auto u64 = [](std::size_t n) { return static_cast<std::uint64_t>(n); };
         obs::JsonlSink sink = obs::JsonlSink::to_file(*options.telemetry_path);
         sink.emit(obs::JsonObject{}
                       .set("event", "fuzz-start")
                       .set("class", class_name)
-                      .set("seed", static_cast<std::uint64_t>(fuzz_options.seed))
-                      .set("iters", static_cast<std::uint64_t>(options.iters))
+                      .set("seed", fuzz_options.seed)
+                      .set("iters", u64(options.iters))
                       .set("mutant", fuzz_options.mutant_id));
         for (const auto& finding : result.findings) {
-            sink.emit(
-                obs::JsonObject{}
-                    .set("event", "fuzz-finding")
-                    .set("key", finding.key())
-                    .set("verdict", driver::to_string(finding.verdict))
-                    .set("method", finding.failed_method)
-                    .set("iteration", static_cast<std::uint64_t>(finding.iteration))
-                    .set("shrink_steps",
-                         static_cast<std::uint64_t>(finding.shrink.steps))
-                    .set("calls", static_cast<std::uint64_t>(
-                                      finding.reproducer.calls.size())));
+            sink.emit(obs::JsonObject{}
+                          .set("event", "fuzz-finding")
+                          .set("key", finding.key())
+                          .set("verdict", driver::to_string(finding.verdict))
+                          .set("method", finding.failed_method)
+                          .set("iteration", u64(finding.iteration))
+                          .set("shrink_steps", u64(finding.shrink.steps))
+                          .set("calls", u64(finding.reproducer.calls.size())));
         }
         // One event per verdict kind — zero counts included, so a kind
         // that never fired (contract-not-enforced, setup-error) is
@@ -1346,27 +1041,18 @@ int cmd_fuzz(const Options& options) {
         }
         obs::JsonObject end;
         end.set("event", "fuzz-end")
-            .set("iterations",
-                 static_cast<std::uint64_t>(result.stats.iterations))
-            .set("executions",
-                 static_cast<std::uint64_t>(result.stats.executions))
-            .set("interesting",
-                 static_cast<std::uint64_t>(result.stats.interesting))
-            .set("population",
-                 static_cast<std::uint64_t>(result.stats.population))
-            .set("nodes",
-                 static_cast<std::uint64_t>(result.stats.nodes_covered))
-            .set("edges",
-                 static_cast<std::uint64_t>(result.stats.edges_covered))
-            .set("findings", static_cast<std::uint64_t>(result.findings.size()));
+            .set("iterations", u64(result.stats.iterations))
+            .set("executions", u64(result.stats.executions))
+            .set("interesting", u64(result.stats.interesting))
+            .set("population", u64(result.stats.population))
+            .set("nodes", u64(result.stats.nodes_covered))
+            .set("edges", u64(result.stats.edges_covered))
+            .set("findings", u64(result.findings.size()));
         if (isolated) {
             const sandbox::PoolStats& sandbox_stats = isolated->stats();
-            end.set("sandbox_spawns",
-                    static_cast<std::uint64_t>(sandbox_stats.spawned))
-                .set("sandbox_respawns",
-                     static_cast<std::uint64_t>(sandbox_stats.respawned))
-                .set("sandbox_kills",
-                     static_cast<std::uint64_t>(sandbox_stats.kills));
+            end.set("sandbox_spawns", u64(sandbox_stats.spawned))
+                .set("sandbox_respawns", u64(sandbox_stats.respawned))
+                .set("sandbox_kills", u64(sandbox_stats.kills));
         }
         sink.emit(end);
     }
@@ -1386,7 +1072,7 @@ int cmd_fuzz(const Options& options) {
     return rc != 0 ? rc : emit_rc;
 }
 
-// `concat run <coblist|sortable>`: one plain execution of the generated
+// `concat run <component>`: one plain execution of the generated
 // suite — the smallest way to watch the component behave.  With
 // --mutant the run happens under that seeded fault; with --model the
 // lockstep reference model runs alongside and a divergence on an
@@ -1395,37 +1081,19 @@ int cmd_fuzz(const Options& options) {
 // passed, so `concat run <c> --model` doubles as a conformance gate and
 // `concat run <c> --mutant M --model` as a single-mutant demonstrator.
 int cmd_run(const Options& options) {
-    mfc::ElementPool pool;
-    auto component = make_builtin("run", options.tspec_path);
-    if (!component) return 2;
-    const driver::CompletionRegistry completions = mfc::make_completions(pool);
-    component->set_completions(completions);
-    const std::string& class_name = component->spec().class_name;
-
-    const auto mutants =
-        mutation::enumerate_mutants(mfc::descriptors(), class_name);
+    const auto subject = resolve_subject(options);
+    if (!subject) return 2;
+    const std::string& class_name = subject->class_name();
     const auto mutant =
-        resolve_mutant("run", mutants, options.mutant_id.value_or(""));
+        resolve_mutant(options, subject->mutants, options.mutant_id.value_or(""));
     if (!mutant) return 2;
 
-    driver::RunnerOptions runner_options;
-    runner_options.obs = options.obs;
-    if (options.model) {
-        const auto model_binding = resolve_model("run", class_name);
-        if (!model_binding) return 2;
-        runner_options.model = *model_binding;
-        runner_options.promote_divergence = true;
-    }
-    const driver::TestRunner runner(component->registry(), runner_options);
-
-    const driver::TestSuite suite = component->generate_tests(options.generator);
-    driver::SuiteResult result;
-    if (*mutant) {
-        const mutation::MutantActivation active(**mutant);
-        result = runner.run(suite);
-    } else {
-        result = runner.run(suite);
-    }
+    const driver::TestRunner runner(subject->component().registry(),
+                                    subject->runner);
+    const driver::TestSuite suite =
+        subject->component().generate_tests(options.generator);
+    const driver::SuiteResult result =
+        with_mutant(*mutant, [&] { return runner.run(suite); });
 
     std::ostringstream report;
     report << "run: " << class_name << ", " << suite.size() << " case(s), seed "
@@ -1457,7 +1125,7 @@ int cmd_run(const Options& options) {
     return emit_rc;
 }
 
-// `concat shrink <coblist|sortable> --case FILE`: reload one corpus
+// `concat shrink <component> --case FILE`: reload one corpus
 // entry, verify it still replays to its recorded verdict, re-shrink it
 // under the given budget, and write the minimized entry back (--corpus
 // DIR for the canonical filename, else -o/stdout).  Exit 1 when the
@@ -1467,12 +1135,9 @@ int cmd_shrink(const Options& options) {
         std::cerr << "concat shrink: --case is required\n";
         return 2;
     }
-    mfc::ElementPool pool;
-    auto component = make_builtin("shrink", options.tspec_path);
-    if (!component) return 2;
-    const driver::CompletionRegistry completions = mfc::make_completions(pool);
-    component->set_completions(completions);
-    const std::string& class_name = component->spec().class_name;
+    const auto subject = resolve_subject(options);
+    if (!subject) return 2;
+    const std::string& class_name = subject->class_name();
 
     fuzz::CorpusEntry entry = fuzz::load_entry_file(*options.case_path);
     if (entry.suite.class_name != class_name) {
@@ -1484,24 +1149,19 @@ int cmd_shrink(const Options& options) {
 
     // --mutant overrides the recorded mutant (e.g. replaying a component
     // fault under a candidate fix's mutant id).
-    const std::string mutant_id = options.mutant_id.value_or(entry.mutant_id);
-    const auto mutants = mutation::enumerate_mutants(mfc::descriptors(), class_name);
-    const auto mutant = resolve_mutant("shrink", mutants, mutant_id);
+    const auto mutant = resolve_mutant(
+        options, subject->mutants, options.mutant_id.value_or(entry.mutant_id));
     if (!mutant) return 2;
 
-    driver::recomplete_suite(entry.suite, completions, entry.suite.seed);
+    driver::recomplete_suite(entry.suite, *subject->completions, entry.suite.seed);
 
-    driver::RunnerOptions runner_options;
-    runner_options.obs = options.obs;
-    const driver::TestRunner runner(component->registry(), runner_options);
-    const reflect::ClassBinding& binding = component->registry().at(class_name);
+    const driver::TestRunner runner(subject->component().registry(),
+                                    subject->runner);
+    const reflect::ClassBinding& binding =
+        subject->component().registry().at(class_name);
     const fuzz::CaseRunner case_runner =
         [&](const driver::TestCase& tc) -> driver::TestResult {
-        if (*mutant) {
-            const mutation::MutantActivation active(**mutant);
-            return runner.run_case(binding, tc);
-        }
-        return runner.run_case(binding, tc);
+        return with_mutant(*mutant, [&] { return runner.run_case(binding, tc); });
     };
 
     const driver::TestResult observed = case_runner(entry.reproducer());
@@ -1513,7 +1173,8 @@ int cmd_shrink(const Options& options) {
         return 1;
     }
 
-    const tfm::Graph graph = component->spec().build_tfm();
+    const tspec::ComponentSpec& spec = subject->component().spec();
+    const tfm::Graph graph = spec.build_tfm();
     fuzz::ShrinkOptions shrink_options;
     shrink_options.max_steps = options.max_shrink_steps;
     shrink_options.obs = options.obs;
@@ -1521,7 +1182,7 @@ int cmd_shrink(const Options& options) {
         return case_runner(tc).verdict == entry.verdict;
     };
     const fuzz::ShrinkResult shrunk = fuzz::shrink_case(
-        component->spec(), graph, entry.reproducer(), still_fails, shrink_options);
+        spec, graph, entry.reproducer(), still_fails, shrink_options);
 
     std::cerr << "shrink: " << class_name << "  "
               << entry.reproducer().calls.size() << " -> "
@@ -1533,7 +1194,7 @@ int cmd_shrink(const Options& options) {
     minimized.suite.cases = {shrunk.minimized};
     if (options.corpus_dir) {
         const auto outcome =
-            fuzz::persist_entry(*options.corpus_dir, minimized, &completions,
+            fuzz::persist_entry(*options.corpus_dir, minimized, subject->completions,
                                 case_runner, entry.suite.seed);
         if (!outcome.reproducible) {
             std::cerr << "concat shrink: minimized entry did not replay after "
@@ -1622,10 +1283,7 @@ int cmd_serve(const Options& options) {
     if (options.telemetry_path) {
         sink = obs::JsonlSink::to_file(*options.telemetry_path);
     }
-    serve::ServeOptions serve_options;
-    serve_options.port = static_cast<std::uint16_t>(options.listen_port);
-    serve_options.bind_host = options.bind_host;
-    serve_options.once = options.once;
+    serve::ServeOptions serve_options = options.serve;
     serve_options.obs = options.obs;
     if (sink) {
         serve_options.telemetry = [&sink](const obs::JsonObject& event) {
@@ -1645,69 +1303,183 @@ int cmd_serve(const Options& options) {
 /// command.  Failures are reported but only turn a successful run into
 /// a failure (a failed command keeps its own exit code).
 int flush_observability(const Options& options) {
-    int rc = 0;
-    if (options.trace_path) {
-        std::ofstream out(*options.trace_path);
-        if (out) {
-            options.obs.tracer.write_chrome_trace(out);
-        } else {
-            std::cerr << "concat: cannot write trace file: " << *options.trace_path
-                      << "\n";
-            rc = 1;
+    const auto write = [](const std::optional<std::string>& path, const char* what,
+                          const auto& writer) {
+        if (!path) return 0;
+        std::ofstream out(*path);
+        if (!out) {
+            std::cerr << "concat: cannot write " << what << " file: " << *path << "\n";
+            return 1;
         }
-    }
-    if (options.metrics_path) {
-        std::ofstream out(*options.metrics_path);
-        if (out) {
-            const std::string& path = *options.metrics_path;
-            const bool json = path.size() >= 5 &&
-                              path.compare(path.size() - 5, 5, ".json") == 0;
-            if (json) {
-                options.obs.metrics.write_json(out);
-            } else {
-                options.obs.metrics.write_text(out);
-            }
-        } else {
-            std::cerr << "concat: cannot write metrics file: "
-                      << *options.metrics_path << "\n";
-            rc = 1;
-        }
-    }
-    return rc;
+        writer(out);
+        return 0;
+    };
+    const obs::Context& obs = options.obs;
+    return write(options.trace_path, "trace",
+                 [&](std::ostream& out) { obs.tracer.write_chrome_trace(out); }) |
+           write(options.metrics_path, "metrics", [&](std::ostream& out) {
+               if (options.metrics_path->ends_with(".json")) {
+                   obs.metrics.write_json(out);
+               } else {
+                   obs.metrics.write_text(out);
+               }
+           });
 }
 
-int dispatch(const Options& options) {
-    // Campaign, fuzz, run, shrink and stats do not read a t-spec file;
-    // assemble reads an *assembly* file and parses it itself.
-    if (options.command == "campaign") return cmd_campaign(options);
-    if (options.command == "kill") return cmd_kill(options);
-    if (options.command == "assemble") return cmd_assemble(options);
-    if (options.command == "fuzz") return cmd_fuzz(options);
-    if (options.command == "run") return cmd_run(options);
-    if (options.command == "shrink") return cmd_shrink(options);
-    if (options.command == "stats") return cmd_stats(options);
-    if (options.command == "serve") return cmd_serve(options);
-    if (options.command == "dispatch") return cmd_campaign(options);
+int cmd_print(const Options& options, const tspec::ComponentSpec& spec) {
+    return emit(options, tspec::print_tspec(spec));
+}
 
-    const auto spec = tspec::parse_tspec(read_file(options.tspec_path));
+int cmd_dot(const Options& options, const tspec::ComponentSpec& spec) {
+    spec.ensure_valid();
+    return emit(options, spec.build_tfm().to_dot());
+}
 
-    if (options.command == "validate") return cmd_validate(options, spec);
-    if (options.command == "describe") return cmd_describe(options, spec);
-    if (options.command == "print") {
-        return emit(options, tspec::print_tspec(spec));
+/// A t-spec command run on the operand's parsed t-spec.
+template <int (*Run)(const Options&, const tspec::ComponentSpec&)>
+int with_tspec(const Options& options) {
+    return Run(options, tspec::parse_tspec(read_file(options.tspec_path)));
+}
+
+/// One row of the command table: the command, its operand and its
+/// handler.  Every command takes the flags of kFlags that name it.
+struct Command {
+    const char* name;
+    const char* operand;
+    int (*run)(const Options&);
+    const char* help;
+};
+
+const Command kCommands[] = {
+    {"validate", "TSPEC", with_tspec<cmd_validate>,
+     "parse and semantically check a t-spec"},
+    {"describe", "TSPEC", with_tspec<cmd_describe>,
+     "human-readable summary of the specification"},
+    {"print", "TSPEC", with_tspec<cmd_print>,
+     "normalized t-spec (round-trip through the parser)"},
+    {"dot", "TSPEC", with_tspec<cmd_dot>, "Graphviz DOT of the transaction flow model"},
+    {"transactions", "TSPEC", with_tspec<cmd_transactions>,
+     "enumerate transactions (birth -> death paths)"},
+    {"assemble", "ASSEMBLY.tspec", cmd_assemble,
+     "synchronous product of an assembly; default output: construction stats and "
+     "validation"},
+    {"coverage", "TSPEC", with_tspec<cmd_coverage>,
+     "node/link coverage of the selected criterion"},
+    {"suite", "TSPEC", with_tspec<cmd_suite>,
+     "generate a test suite (concat-suite text format)"},
+    {"gen", "TSPEC", with_tspec<cmd_gen>, "generate C++ driver source (paper Figs. 6-7)"},
+    {"replan", "OLD.tspec", with_tspec<cmd_replan>,
+     "classify a frozen suite against a new release"},
+    {"campaign", "COMPONENT", cmd_campaign,
+     "parallel mutation campaign over a registered component (coblist, sortable, wallet, "
+     "shop)"},
+    {"kill", "COMPONENT", cmd_kill,
+     "synthesize killers for a finished campaign's surviving mutants (bounded "
+     "product-state search; every killer is execution-verified and shrunk)"},
+    {"fuzz", "COMPONENT", cmd_fuzz,
+     "coverage-guided transaction fuzzing of a single-class component"},
+    {"run", "COMPONENT", cmd_run, "execute the generated suite once and report verdicts"},
+    {"shrink", "COMPONENT", cmd_shrink, "re-shrink / verify one corpus entry"},
+    {"serve", "", cmd_serve, "campaign worker daemon (docs/FORMATS.md §10)"},
+    {"dispatch", "COMPONENT", cmd_campaign, "shard a campaign across serve daemons"},
+    {"stats", "TELEMETRY.jsonl...", cmd_stats, "summarize campaign telemetry stream(s)"},
+};
+
+/// One usage entry: `head` padded to the text column, then `text`
+/// word-wrapped under it.
+void put_entry(std::ostream& os, std::string head, const std::string& text) {
+    constexpr std::size_t kColumn = 26;
+    constexpr std::size_t kWidth = 79;
+    if (head.size() >= kColumn) {
+        os << head << "\n";
+        head.clear();
     }
-    if (options.command == "dot") {
-        spec.ensure_valid();
-        return emit(options, spec.build_tfm().to_dot());
+    std::string line = head + std::string(kColumn - head.size(), ' ');
+    std::istringstream words(text);
+    bool first = true;
+    for (std::string word; words >> word; first = false) {
+        if (!first && line.size() + 1 + word.size() > kWidth) {
+            os << line << "\n";
+            line = std::string(kColumn, ' ');
+            first = true;
+        }
+        line += (first ? "" : " ") + word;
     }
-    if (options.command == "transactions") return cmd_transactions(options, spec);
-    if (options.command == "coverage") return cmd_coverage(options, spec);
-    if (options.command == "suite") return cmd_suite(options, spec);
-    if (options.command == "gen") return cmd_gen(options, spec);
-    if (options.command == "replan") return cmd_replan(options, spec);
+    os << line << "\n";
+}
 
-    std::cerr << "concat: unknown command '" << options.command << "'\n";
-    return usage(std::cerr);
+int usage(std::ostream& os) {
+    os << "usage: concat <command> <operand> [options]\ncommands:\n";
+    for (const Command& command : kCommands) {
+        put_entry(os, std::string("  ") + command.name + " " + command.operand,
+                  command.help);
+    }
+    os << "options, with the commands that take each one:\n";
+    for (const Flag& flag : kFlags) {
+        const std::string commands = std::strcmp(flag.commands, "*") == 0
+                                         ? "any command"
+                                         : flag.commands;
+        put_entry(os,
+                  std::string("  ") + flag.name +
+                      (flag.kind == Kind::Switch ? "" : " ") + flag.metavar,
+                  std::string(flag.help) + " [" + commands + "]");
+    }
+    return 2;
+}
+
+std::optional<Options> parse_args(int argc, char** argv) {
+    if (argc < 2) return std::nullopt;
+    Options out;
+    out.command = argv[1];
+    if (find_row(kCommands, out.command) == nullptr) {
+        std::cerr << "concat: unknown command '" << out.command << "'\n";
+        return std::nullopt;
+    }
+    // `serve` takes no positional operand — the campaign config arrives
+    // in the coordinator's handshake — so argv[2] may already be a flag
+    // (or absent: an ephemeral-port daemon).  `stats` flags may precede
+    // the file (`stats --follow F`): the loop collects every positional
+    // into extra_inputs and the first is promoted to the primary file.
+    int first = 2;
+    if (out.command != "serve" && out.command != "stats") {
+        if (argc < 3) return std::nullopt;
+        out.tspec_path = argv[2];
+        first = 3;
+    }
+
+    for (int i = first; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (!arg.empty() && arg[0] != '-') {
+            // `stats` aggregates any number of telemetry files; no
+            // other command takes extra positional operands.
+            if (out.command == "stats") {
+                out.extra_inputs.push_back(arg);
+                continue;
+            }
+            std::cerr << "concat " << out.command << ": unexpected operand '"
+                      << arg << "'\n";
+            return std::nullopt;
+        }
+        const Flag* flag = find_row(kFlags, arg);
+        if (flag == nullptr || !accepts(*flag, out.command)) {
+            std::cerr << "concat " << out.command << ": unknown option '" << arg
+                      << "'\n";
+            return std::nullopt;
+        }
+        Value value;
+        if (flag->kind != Kind::Switch) {
+            if (i + 1 >= argc) return std::nullopt;
+            value.text = argv[++i];
+        }
+        if (!read_value(*flag, value)) return std::nullopt;
+        flag->set(out, value);
+    }
+    if (out.command == "stats") {
+        if (out.extra_inputs.empty()) return std::nullopt;  // no file given
+        out.tspec_path = out.extra_inputs.front();
+        out.extra_inputs.erase(out.extra_inputs.begin());
+    }
+    return out;
 }
 
 }  // namespace
@@ -1730,7 +1502,7 @@ int main(int argc, char** argv) {
 
     int rc;
     try {
-        rc = dispatch(*options);
+        rc = find_row(kCommands, options->command)->run(*options);
     } catch (const stc::Error& e) {
         std::cerr << "concat: " << e.what() << "\n";
         rc = 1;
