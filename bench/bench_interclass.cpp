@@ -13,8 +13,10 @@
 // Interface mutants are seeded into Wallet::Deposit / Wallet::Withdraw.
 // The write-through sites (the ledger pointer and the booked amounts)
 // are only observable through the collaborator.
+//
+// Both suites run through the same MutationEngine::run: the system is
+// lowered to one class (interclass::lower).
 #include "bench_util.h"
-#include "stc/interclass/system_driver.h"
 #include "wallet_component.h"
 
 int main() {
@@ -26,31 +28,27 @@ int main() {
     std::cout << "\nmutants in Wallet::Deposit / Wallet::Withdraw: "
               << mutants.size() << "\n\n";
 
+    // --- intraclass: Wallet alone -------------------------------------------
     reflect::Registry registry;
     examples::register_wallet_classes(registry);
-
-    // --- intraclass: Wallet alone -------------------------------------------
     examples::LedgerPool ledgers;
     const auto completions = ledgers.completions();
     driver::DriverGenerator intraclass_gen(examples::wallet_intraclass_spec());
     intraclass_gen.completions(&completions);
     const auto intraclass_suite = intraclass_gen.generate();
-
-    const mutation::MutationEngine engine(registry);
-    const driver::TestRunner runner(registry);
-    const auto intraclass_run = engine.run_with(
-        [&] { return runner.run(intraclass_suite); }, mutants);
+    const auto intraclass_run =
+        mutation::MutationEngine(registry).run(intraclass_suite, mutants);
 
     // --- interclass: the AuditedWallet system --------------------------------
-    const auto system = examples::wallet_system_spec();
-    const auto system_suite =
-        interclass::SystemDriverGenerator(system).generate();
-    const interclass::SystemRunner system_runner(registry);
-    const auto interclass_run = engine.run_with(
-        [&] { return system_runner.run(system, system_suite); }, mutants);
+    interclass::LoweredSystem system = examples::audited_wallet();
+    const auto system_suite = driver::DriverGenerator(system.spec).generate();
+    reflect::Registry system_registry;
+    system_registry.add(std::move(system.binding));
+    const auto interclass_run =
+        mutation::MutationEngine(system_registry).run(system_suite, mutants);
 
     support::TextTable table(
-        {"Strategy", "test cases", "#killed", "not covered", "Score"});
+        {"Strategy", "test cases", "#killed", "alive", "Score"});
     table.set_align(0, support::Align::Left);
     table.add_row({"intraclass (Wallet alone)",
                    std::to_string(intraclass_suite.size()),

@@ -3,11 +3,11 @@
 // system-level TFM whose transactions pass one role's object into
 // another role's method.  The suite checks the cross-class property
 // "wallet balance == ledger total" with a manually derived oracle on
-// every audited transaction.
+// every audited transaction.  The system is lowered to one class
+// (interclass::lower), so the ordinary generator and runner drive it.
 #include <iostream>
 
-#include "stc/interclass/system_driver.h"
-#include "stc/oracle/oracle.h"
+#include "stc/core/self_testable.h"
 #include "wallet_component.h"
 
 int main() {
@@ -21,23 +21,22 @@ int main() {
     }
     std::cout << "\n";
 
-    interclass::SystemDriverGenerator generator(system);
-    const auto suite = generator.generate();
+    interclass::LoweredSystem lowered = examples::audited_wallet();
+    const core::SelfTestableComponent component(std::move(lowered.spec),
+                                                std::move(lowered.binding));
+    const auto report = component.self_test();
+    const auto& suite = report.suite;
+    const auto& result = report.result;
     std::cout << "system TFM: " << suite.model_nodes << " node(s), "
               << suite.model_links << " link(s); transactions: "
               << suite.transactions_enumerated << "\n\n";
 
     std::cout << "sample transaction (" << suite.cases.front().id << "): "
               << suite.cases.front().transaction_text << "\n";
-    for (const auto& call : suite.cases.front().body) {
+    for (const auto& call : suite.cases.front().calls) {
         std::cout << "  " << call.render() << "\n";
     }
     std::cout << "\n";
-
-    reflect::Registry registry;
-    examples::register_wallet_classes(registry);
-    const interclass::SystemRunner runner(registry);
-    const auto result = runner.run(system, suite);
 
     std::cout << "run: " << result.passed() << "/" << suite.size() << " passed\n";
 

@@ -32,6 +32,21 @@ void register_example_targets() {
     };
     serve::register_builtin_target("wallet", std::move(wallet));
 
+    // The interclass system (paper §6): Wallet and its audit Ledger as
+    // roles of one lowered class, so the Ledger's state is observed and
+    // the write-through mutants the wallet campaign misses are killed.
+    serve::BuiltinTarget audited;
+    audited.make_component = [] {
+        interclass::LoweredSystem system = audited_wallet();
+        serve::BuiltinComponent out;
+        out.component.emplace(std::move(system.spec), std::move(system.binding));
+        return out;
+    };
+    audited.mutants = [] {
+        return mutation::enumerate_mutants(wallet_descriptors(), "Wallet");
+    };
+    serve::register_builtin_target("audited-wallet", std::move(audited));
+
     // The assembly product: the component under test is the Shop facade
     // driven by the synchronous product TFM, the mutant population is
     // the member class's (Wallet's) — the ISSUE's interface-vs-assembly

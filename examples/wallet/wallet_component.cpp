@@ -123,4 +123,10 @@ void register_wallet_classes(reflect::Registry& registry) {
     registry.add(ledger_binding());
 }
 
+interclass::LoweredSystem audited_wallet() {
+    reflect::Registry roles;
+    register_wallet_classes(roles);
+    return interclass::lower(wallet_system_spec(), roles);
+}
+
 }  // namespace stc::examples

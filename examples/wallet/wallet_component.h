@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "stc/driver/generator.h"
-#include "stc/interclass/system_spec.h"
+#include "stc/interclass/lower.h"
 #include "stc/reflect/class_binding.h"
 #include "wallet.h"
 
@@ -23,6 +23,10 @@ namespace stc::examples {
 /// The two-role system: wallet (Wallet) + audit (Ledger); the system TFM
 /// sequences attach/deposit/withdraw/queries across both objects.
 [[nodiscard]] interclass::SystemSpec wallet_system_spec();
+
+/// The two-role system lowered onto the single-class pipeline over the
+/// Wallet and Ledger bindings — the `audited-wallet` campaign target.
+[[nodiscard]] interclass::LoweredSystem audited_wallet();
 
 /// Individual class bindings.
 [[nodiscard]] reflect::ClassBinding wallet_binding();

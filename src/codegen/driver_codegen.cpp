@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "stc/support/error.h"
 #include "stc/support/indent_writer.h"
 #include "stc/support/strings.h"
 
@@ -9,11 +10,10 @@ namespace stc::codegen {
 
 using support::IndentWriter;
 
-DriverCodegen::DriverCodegen(tspec::ComponentSpec spec, CodegenOptions options)
-    : spec_(std::move(spec)), options_(std::move(options)) {}
+namespace {
 
-std::string DriverCodegen::render_argument(const domain::Value& value,
-                                           int* hint_counter) const {
+/// A generated argument as C++ source.
+std::string render_value(const domain::Value& value, int* hint_counter) {
     using domain::ValueKind;
     if (value.kind() == ValueKind::Pointer || value.kind() == ValueKind::Object) {
         // Structured parameter: the tester completes it (§3.4.1).  The
@@ -27,12 +27,17 @@ std::string DriverCodegen::render_argument(const domain::Value& value,
     return value.to_source();
 }
 
+}  // namespace
+
+DriverCodegen::DriverCodegen(tspec::ComponentSpec spec, CodegenOptions options)
+    : spec_(std::move(spec)), options_(std::move(options)) {}
+
 std::string DriverCodegen::render_call(const driver::MethodCall& call,
                                        int* hint_counter) const {
     std::string out = call.method_name + "(";
     for (std::size_t i = 0; i < call.arguments.size(); ++i) {
         if (i != 0) out += ", ";
-        out += render_argument(call.arguments[i], hint_counter);
+        out += render_value(call.arguments[i], hint_counter);
     }
     out += ")";
     return out;
@@ -167,7 +172,7 @@ std::string DriverCodegen::suite_source(const driver::TestSuite& suite) const {
         std::string args;
         for (std::size_t i = 0; i < ctor.arguments.size(); ++i) {
             if (i != 0) args += ", ";
-            args += render_argument(ctor.arguments[i], &hints);
+            args += render_value(ctor.arguments[i], &hints);
         }
         w.line("TestCase" + tc.id.substr(2) + "(new " + suite.class_name + "(" + args +
                "));");
@@ -181,47 +186,41 @@ SystemDriverCodegen::SystemDriverCodegen(interclass::SystemSpec spec,
                                          CodegenOptions options)
     : spec_(std::move(spec)), options_(std::move(options)) {}
 
-std::string SystemDriverCodegen::render_args(
-    const std::vector<interclass::SystemArg>& args, int* hint_counter) const {
+std::string SystemDriverCodegen::render_args(const tspec::MethodSpec& method,
+                                             const std::vector<domain::Value>& args,
+                                             std::size_t* next,
+                                             int* hint_counter) const {
     std::string out;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (i != 0) out += ", ";
-        if (args[i].is_role_ref()) {
-            out += "&" + args[i].role_ref + "_obj";
-            continue;
-        }
-        const auto& value = args[i].value;
-        if (value.kind() == domain::ValueKind::Pointer ||
-            value.kind() == domain::ValueKind::Object) {
-            const std::string cls = value.as_object().type_name.empty()
-                                        ? "CObject"
-                                        : value.as_object().type_name;
-            out += "tester_supplied_" + cls + "(" +
-                   std::to_string((*hint_counter)++) + ")";
-        } else {
-            out += value.to_source();
-        }
+    for (const tspec::TypedSlot& p : method.parameters) {
+        if (!out.empty()) out += ", ";
+        const std::string ref = spec_.role_ref(p);
+        out += ref.empty() ? render_value(args.at((*next)++), hint_counter)
+                           : "&" + ref + "_obj";
     }
     return out;
 }
 
 std::string SystemDriverCodegen::test_case_source(
-    const interclass::SystemTestCase& test_case) const {
+    const driver::TestCase& test_case) const {
     IndentWriter w;
     int hints = 0;
 
     w.line("// Transaction: " + test_case.transaction_text);
-    w.open("void SystemCase" + test_case.id.substr(3) + "() {");
+    w.open("void SystemCase" + test_case.id.substr(2) + "() {");
     w.line("const char* CurrentMethod = \"<setup>\";");
     w.line("std::ofstream LogFile(" + support::cpp_string_literal(options_.log_file) +
            ", std::ios::app);");
 
-    // Roles on the stack, in declaration order (reverse teardown for free).
-    for (const auto& ctor : test_case.setup) {
-        const interclass::RoleSpec* role = spec_.find_role(ctor.role);
-        const std::string args = render_args(ctor.arguments, &hints);
+    // Roles on the stack, in declaration order (reverse teardown for
+    // free); the lowered constructor's arguments split across them.
+    std::size_t next = 0;
+    for (const auto& role : spec_.roles) {
+        const tspec::MethodSpec& ctor =
+            *spec_.spec_of(role.class_name)->find_method(role.constructor_id);
+        const std::string args =
+            render_args(ctor, test_case.constructor_call().arguments, &next, &hints);
         // No empty parentheses: `T obj();` is the most vexing parse.
-        w.line(role->class_name + " " + ctor.role + "_obj" +
+        w.line(role.class_name + " " + role.role + "_obj" +
                (args.empty() ? "" : "(" + args + ")") + ";");
     }
 
@@ -232,19 +231,29 @@ std::string SystemDriverCodegen::test_case_source(
     };
 
     w.open("try {");
-    for (const auto& call : test_case.body) {
+    for (std::size_t i = 1; i < test_case.calls.size(); ++i) {
+        // "role.method_id" names the role and its class's method.
+        const std::string& id = test_case.calls[i].method_id;
+        const std::size_t dot = id.find('.');
+        const interclass::RoleSpec* role =
+            dot == std::string::npos ? nullptr : spec_.find_role(id.substr(0, dot));
+        const tspec::MethodSpec* method =
+            role == nullptr
+                ? nullptr
+                : spec_.spec_of(role->class_name)->find_method(id.substr(dot + 1));
+        if (method == nullptr) {
+            throw Error("method id '" + id + "' is not a role method of " +
+                        spec_.component_name);
+        }
+        next = 0;
         const std::string rendered =
-            call.method_name + "(" + render_args(call.arguments, &hints) + ")";
+            method->name + "(" +
+            render_args(*method, test_case.calls[i].arguments, &next, &hints) + ")";
         invariants();
         w.line("CurrentMethod = " +
-               support::cpp_string_literal(call.role + "." + rendered) + ";");
-        const tspec::ComponentSpec* cls =
-            spec_.spec_of(spec_.find_role(call.role)->class_name);
-        const tspec::MethodSpec* method =
-            cls == nullptr ? nullptr : cls->find_method(call.method_id);
-        const bool returns_value = method != nullptr && !method->return_type.empty();
-        w.line((returns_value ? "(void)" : "") + call.role + "_obj." + rendered +
-               ";");
+               support::cpp_string_literal(role->role + "." + rendered) + ";");
+        w.line((method->return_type.empty() ? "" : "(void)") + role->role + "_obj." +
+               rendered + ";");
         invariants();
     }
     w.line("LogFile << \"TestCase " + test_case.id + " OK!\\n\";");
@@ -264,11 +273,10 @@ std::string SystemDriverCodegen::test_case_source(
     return w.str();
 }
 
-std::string SystemDriverCodegen::suite_source(
-    const interclass::SystemTestSuite& suite) const {
+std::string SystemDriverCodegen::suite_source(const driver::TestSuite& suite) const {
     IndentWriter w;
     w.line("// Generated by the Concat Driver Generator (interclass).");
-    w.line("// Component under test: " + suite.component_name);
+    w.line("// Component under test: " + suite.class_name);
     w.line("// Seed: " + std::to_string(suite.seed) + "; system model " +
            std::to_string(suite.model_nodes) + " node(s) / " +
            std::to_string(suite.model_links) + " link(s); " +
@@ -290,7 +298,7 @@ std::string SystemDriverCodegen::suite_source(
 
     w.open("int main() {");
     for (const auto& tc : suite.cases) {
-        w.line("SystemCase" + tc.id.substr(3) + "();");
+        w.line("SystemCase" + tc.id.substr(2) + "();");
     }
     w.line("return 0;");
     w.close("}");

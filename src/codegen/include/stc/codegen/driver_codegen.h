@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "stc/driver/test_case.h"
-#include "stc/interclass/system_driver.h"
+#include "stc/interclass/system_spec.h"
 #include "stc/tspec/model.h"
 
 namespace stc::codegen {
@@ -56,8 +56,6 @@ public:
         const driver::TestSuite& suite) const;
 
 private:
-    [[nodiscard]] std::string render_argument(const domain::Value& value,
-                                              int* hint_counter) const;
     [[nodiscard]] std::string render_call(const driver::MethodCall& call,
                                           int* hint_counter) const;
 
@@ -65,25 +63,29 @@ private:
     CodegenOptions options_;
 };
 
-/// Driver source generation for interclass (system) suites: each test
-/// case becomes a plain function that constructs every role on the
-/// stack, applies the transaction's calls (role references render as
-/// `&role_obj`), and checks each role's invariant around every call.
-/// Roles must be self-testable classes (they inherit BuiltInTest — the
-/// premise of the whole approach).
+/// Driver source generation for a lowered system suite (interclass::lower
+/// over `spec`): each test case becomes a plain function that constructs
+/// every role on the stack, applies the transaction's calls (role
+/// references render as `&role_obj`), and checks each role's invariant
+/// around every call.  The role and the role references of each call are
+/// recovered from its "role.method_id" id and the SystemSpec.  Roles must
+/// be self-testable classes (they inherit BuiltInTest — the premise of
+/// the whole approach).
 class SystemDriverCodegen {
 public:
     SystemDriverCodegen(interclass::SystemSpec spec, CodegenOptions options = {});
 
-    [[nodiscard]] std::string test_case_source(
-        const interclass::SystemTestCase& test_case) const;
+    /// Throws stc::Error when a call's id names no role method of `spec`.
+    [[nodiscard]] std::string test_case_source(const driver::TestCase& test_case) const;
 
-    [[nodiscard]] std::string suite_source(
-        const interclass::SystemTestSuite& suite) const;
+    [[nodiscard]] std::string suite_source(const driver::TestSuite& suite) const;
 
 private:
-    [[nodiscard]] std::string render_args(
-        const std::vector<interclass::SystemArg>& args, int* hint_counter) const;
+    /// `method`'s argument list: role references as `&role_obj`, every
+    /// other parameter the next of `args` from `*next`.
+    [[nodiscard]] std::string render_args(const tspec::MethodSpec& method,
+                                          const std::vector<domain::Value>& args,
+                                          std::size_t* next, int* hint_counter) const;
 
     interclass::SystemSpec spec_;
     CodegenOptions options_;

@@ -1,5 +1,5 @@
 // Shared text wire-format helpers for the concat-* persistence formats
-// (suite_io, golden_io, interclass system_io, fuzz corpus):
+// (suite_io, golden_io, fuzz corpus):
 // percent-encoding of field separators, the typed Value encoding, and
 // the checked number parse every reader of these files goes through.
 #pragma once

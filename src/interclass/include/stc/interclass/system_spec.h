@@ -15,13 +15,15 @@
 // parameter whose class matches another role's class is bound to that
 // role's live object (a role reference), so generated transactions
 // exercise real cross-object calls.
+//
+// A SystemSpec runs by being lowered to an ordinary single-class t-spec
+// (lower.h); everything downstream is the single-class pipeline.
 #pragma once
 
 #include <map>
 #include <string>
 #include <vector>
 
-#include "stc/tfm/graph.h"
 #include "stc/tspec/model.h"
 
 namespace stc::interclass {
@@ -43,7 +45,7 @@ struct SystemCall {
 struct SystemNodeSpec {
     std::string id;
     bool is_start = false;
-    std::vector<SystemCall> calls;  ///< may be empty (e.g. a sink node)
+    std::vector<SystemCall> calls;  ///< at least one
 };
 
 struct SystemEdgeSpec {
@@ -65,20 +67,21 @@ public:
 
     [[nodiscard]] const RoleSpec* find_role(const std::string& role) const;
     [[nodiscard]] const tspec::ComponentSpec* spec_of(const std::string& class_name) const;
-    [[nodiscard]] const SystemNodeSpec* find_node(const std::string& id) const;
 
     /// The first role whose class matches `class_name` ("" if none) —
     /// the binding rule for role-reference parameters.
     [[nodiscard]] std::string role_providing(const std::string& class_name) const;
+
+    /// The role `parameter` is bound to ("" for an ordinary parameter):
+    /// a structured parameter without a value domain whose class a role
+    /// provides takes that role's live object.
+    [[nodiscard]] std::string role_ref(const tspec::TypedSlot& parameter) const;
 
     /// Semantic validation: roles resolve to class specs, constructor
     /// ids are constructors, node calls reference known roles/methods,
     /// edges reference known nodes, a start node exists.
     [[nodiscard]] std::vector<tspec::SpecDiagnostic> validate() const;
     void ensure_valid() const;
-
-    /// System-level TFM.  Node method ids are encoded "role.method_id".
-    [[nodiscard]] tfm::Graph build_tfm() const;
 };
 
 /// Fluent construction.
@@ -93,8 +96,7 @@ public:
                             std::vector<SystemCall> calls);
     SystemSpecBuilder& edge(std::string from, std::string to);
 
-    [[nodiscard]] SystemSpec build() const;             ///< validated
-    [[nodiscard]] SystemSpec build_unchecked() const;
+    [[nodiscard]] SystemSpec build() const;  ///< validated
 
 private:
     SystemSpec spec_;

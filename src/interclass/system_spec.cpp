@@ -18,18 +18,15 @@ const tspec::ComponentSpec* SystemSpec::spec_of(const std::string& class_name) c
     return it == class_specs.end() ? nullptr : &it->second;
 }
 
-const SystemNodeSpec* SystemSpec::find_node(const std::string& id) const {
-    for (const auto& n : nodes) {
-        if (n.id == id) return &n;
-    }
-    return nullptr;
-}
-
 std::string SystemSpec::role_providing(const std::string& class_name) const {
     for (const auto& r : roles) {
         if (r.class_name == class_name) return r.role;
     }
     return "";
+}
+
+std::string SystemSpec::role_ref(const tspec::TypedSlot& parameter) const {
+    return parameter.domain ? "" : role_providing(parameter.class_name);
 }
 
 std::vector<tspec::SpecDiagnostic> SystemSpec::validate() const {
@@ -59,6 +56,7 @@ std::vector<tspec::SpecDiagnostic> SystemSpec::validate() const {
     for (const auto& n : nodes) {
         if (!node_ids.insert(n.id).second) out.push_back({n.id, "duplicate node id"});
         has_start = has_start || n.is_start;
+        if (n.calls.empty()) out.push_back({n.id, "node calls no methods"});
         for (const auto& call : n.calls) {
             const RoleSpec* r = find_role(call.role);
             if (r == nullptr) {
@@ -97,21 +95,6 @@ void SystemSpec::ensure_valid() const {
     throw SpecError(msg);
 }
 
-tfm::Graph SystemSpec::build_tfm() const {
-    ensure_valid();
-    tfm::Graph g;
-    for (const auto& n : nodes) {
-        std::vector<std::string> method_ids;
-        method_ids.reserve(n.calls.size());
-        for (const auto& call : n.calls) {
-            method_ids.push_back(call.role + "." + call.method_id);
-        }
-        g.add_node(tfm::Node{n.id, n.is_start, std::move(method_ids)});
-    }
-    for (const auto& e : edges) g.add_edge(e.from, e.to);
-    return g;
-}
-
 SystemSpecBuilder::SystemSpecBuilder(std::string component_name) {
     spec_.component_name = std::move(component_name);
 }
@@ -145,7 +128,5 @@ SystemSpec SystemSpecBuilder::build() const {
     out.ensure_valid();
     return out;
 }
-
-SystemSpec SystemSpecBuilder::build_unchecked() const { return spec_; }
 
 }  // namespace stc::interclass

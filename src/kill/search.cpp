@@ -11,6 +11,7 @@
 #include "stc/mutation/controller.h"
 #include "stc/mutation/coverage.h"
 #include "stc/support/rng.h"
+#include "stc/support/strings.h"
 
 namespace stc::kill {
 
@@ -86,7 +87,8 @@ struct Ctx {
     const SearchOptions& options;
     const mutation::Mutant& mutant;
     const CallTables& tables;
-    const std::string& mutated_id;  ///< t-spec id of the mutated method
+    /// t-spec ids of the methods that may run the mutated site.
+    const std::set<std::string>& mutated_ids;
     std::size_t* budget_used;
     std::size_t* case_counter;
     SearchStats* stats;
@@ -116,9 +118,9 @@ std::vector<driver::MethodCall> node_group(const tfm::Node& node,
     return out;
 }
 
-bool group_contains(const tfm::Node& node, const std::string& mutated_id) {
+bool group_contains(const tfm::Node& node, const std::set<std::string>& mutated_ids) {
     for (const std::string& entry : node.method_ids) {
-        if (tspec::strip_negative_marker(entry) == mutated_id) return true;
+        if (mutated_ids.count(tspec::strip_negative_marker(entry)) != 0) return true;
     }
     return false;
 }
@@ -275,7 +277,7 @@ PhaseEnd run_phase(const Ctx& ctx, const tfm::Graph& graph,
         state.path = {birth};
         state.calls = node_group(graph.node(birth), ctx.tables, &state.incomplete);
         state.depth = 0;
-        if (group_contains(graph.node(birth), ctx.mutated_id)) {
+        if (group_contains(graph.node(birth), ctx.mutated_ids)) {
             const Eval ev = evaluate(ctx, graph, hops, state, false);
             if (ev.verified) {
                 record_kill(ev);
@@ -316,7 +318,7 @@ PhaseEnd run_phase(const Ctx& ctx, const tfm::Graph& graph,
             child.armed = current.armed;
 
             const bool contains =
-                group_contains(graph.node(next), ctx.mutated_id);
+                group_contains(graph.node(next), ctx.mutated_ids);
             if (!child.armed && contains) {
                 // Arming is decided by execution, not by name: the call
                 // must actually consult the mutated site (a total
@@ -403,9 +405,16 @@ SearchOutcome ProductSearch::find_killer(const mutation::Mutant& mutant) const {
     SearchOutcome out;
     out.status = SearchStatus::SiteUnreachable;
 
-    const tspec::MethodSpec* mutated =
-        spec_.find_method_by_name(mutant.method->method_name());
-    if (mutated == nullptr) return out;  // site outside the t-spec interface
+    // The mutated method, and in a lowered interclass system every role
+    // method "role.Method" of that name: execution decides which arm.
+    const std::string& name = mutant.method->method_name();
+    std::set<std::string> mutated_ids;
+    for (const tspec::MethodSpec& m : spec_.methods) {
+        if (m.name == name || support::ends_with(m.name, "." + name)) {
+            mutated_ids.insert(m.id);
+        }
+    }
+    if (mutated_ids.empty()) return out;  // site outside the t-spec interface
 
     std::size_t budget_used = 0;
     std::size_t case_counter = 0;
@@ -418,7 +427,7 @@ SearchOutcome ProductSearch::find_killer(const mutation::Mutant& mutant) const {
         const CallTables tables = build_tables(spec_, completions_,
                                                options_.seed, mutant_id, round);
         const Ctx ctx{spec_,        registry_,     options_,
-                      mutant,       tables,        mutated->id,
+                      mutant,       tables,        mutated_ids,
                       &budget_used, &case_counter, &out.stats,
                       &any_armed};
 

@@ -86,6 +86,7 @@ MutationRun MutationEngine::run(const driver::TestSuite& suite,
                                 const std::vector<Mutant>& mutants,
                                 const driver::TestSuite* probe_suite) const {
     const driver::TestRunner runner(bindings_, options_.runner);
+    const SuiteExecutor run_suite = [&runner, &suite] { return runner.run(suite); };
 
     // Probe runs observe every call, maximizing output-diff sensitivity —
     // the "try hard before declaring equivalent" role of the paper's
@@ -93,21 +94,12 @@ MutationRun MutationEngine::run(const driver::TestSuite& suite,
     driver::RunnerOptions probe_opts = options_.runner;
     probe_opts.observe_each_call = true;
     const driver::TestRunner probe_runner(bindings_, probe_opts);
-
     SuiteExecutor run_probe;
     if (probe_suite != nullptr) {
         run_probe = [&probe_runner, probe_suite] {
             return probe_runner.run(*probe_suite);
         };
     }
-    return run_with([&runner, &suite] { return runner.run(suite); }, mutants,
-                    run_probe);
-}
-
-MutationRun MutationEngine::run_with(const SuiteExecutor& run_suite,
-                                     const std::vector<Mutant>& mutants,
-                                     const SuiteExecutor& run_probe) const {
-    if (!run_suite) throw ContractError("mutation engine needs a suite executor");
 
     MutationRun out;
 
@@ -123,7 +115,6 @@ MutationRun MutationEngine::run_with(const SuiteExecutor& run_suite,
         out.outcomes.push_back(evaluate_mutant(mutant, run_suite, out.golden,
                                                run_probe, probe_golden, options_));
     }
-
     return out;
 }
 

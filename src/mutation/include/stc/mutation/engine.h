@@ -127,9 +127,7 @@ struct MutationRun {
 
 class MutationEngine {
 public:
-    /// Executes one full pass of whatever suite the caller evaluates —
-    /// the engine is agnostic to *how* tests run (single-class
-    /// driver::TestRunner, interclass::SystemRunner, ...), it only needs
+    /// Executes one full pass of a suite; evaluate_mutant only needs
     /// repeatable SuiteResults to compare.
     using SuiteExecutor = std::function<driver::SuiteResult()>;
 
@@ -142,19 +140,13 @@ public:
                                   const std::vector<Mutant>& mutants,
                                   const driver::TestSuite* probe_suite = nullptr) const;
 
-    /// Generic variant: the caller supplies the executors (e.g. an
-    /// interclass SystemRunner closure).  `run_probe` may be empty.
-    [[nodiscard]] MutationRun run_with(const SuiteExecutor& run_suite,
-                                       const std::vector<Mutant>& mutants,
-                                       const SuiteExecutor& run_probe = {}) const;
-
 private:
     const reflect::Registry& bindings_;
     EngineOptions options_;
 };
 
 /// Single-item executor: classify ONE mutant against precomputed golden
-/// baselines.  This is the loop body of MutationEngine::run_with,
+/// baselines.  This is the loop body of MutationEngine::run,
 /// exposed so the campaign scheduler (src/campaign) can shard items
 /// across workers while keeping fates bit-identical to the serial
 /// engine.  `run_probe`/`probe_golden` may be empty (no equivalence

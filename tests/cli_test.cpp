@@ -744,6 +744,20 @@ TEST_F(CliTest, AssemblyTargetsRequireTheAssemblyFlag) {
     EXPECT_NE(err.find("wallet"), std::string::npos);
 }
 
+TEST_F(CliTest, InterclassSystemTargetIsASingleClassTarget) {
+    // audited-wallet is a lowered interclass system: an ordinary
+    // single-class target, so --assembly is refused and `run` takes it.
+    EXPECT_EQ(run("campaign audited-wallet --assembly"), 2);
+    EXPECT_EQ(run("run audited-wallet", "/tmp/stc_cli_audited_run.out"), 0);
+    EXPECT_NE(slurp("/tmp/stc_cli_audited_run.out").find("pass=13 "),
+              std::string::npos);
+    EXPECT_EQ(run("campaign audited-wallet", "/tmp/stc_cli_audited_campaign.out"), 0);
+    const std::string report = slurp("/tmp/stc_cli_audited_campaign.out");
+    EXPECT_NE(report.find("campaign: AuditedWallet, 65 mutant(s), 13 case(s)"),
+              std::string::npos);
+    EXPECT_NE(report.find("score: 96.9%"), std::string::npos);
+}
+
 // ------------------------------------------------------- serve/dispatch
 
 TEST_F(CliTest, ServeAndDispatchPoliceTheirFlags) {

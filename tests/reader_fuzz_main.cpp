@@ -1,8 +1,11 @@
-// Fuzz driver for the text readers of persisted artifacts: corpus
-// entries (fuzz::load_entry), concat-suite files (driver::load_suite)
-// and golden records (oracle::load_golden).  The seeds are the
-// checked-in corpus/*.suite entries, the suite block each one embeds,
-// and a golden record saved from a CObList baseline run; each iteration
+// Fuzz driver for the readers of persisted and received artifacts:
+// corpus entries (fuzz::load_entry), concat-suite files
+// (driver::load_suite), golden records (oracle::load_golden), result
+// stores (campaign::peek_store) and dispatch Hello payloads
+// (serve::parse_hello).  The seeds are the checked-in corpus/*.suite
+// entries, the suite block each one embeds, a golden record saved from a
+// CObList baseline run, the result store of a short CObList campaign
+// and the Hello that campaign's dispatch would send; each iteration
 // byte-mutates one of them — overwrites, inserts, deletes, truncation —
 // favouring the bytes the formats give meaning to ('%', '|', ':', digits,
 // line breaks).
@@ -13,7 +16,10 @@
 //
 // `reader_fuzz --smoke` is the CI entry (ctest): a seconds-scale budget.
 // `reader_fuzz --iters N [--seed S]` is the long-haul form.
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
@@ -23,12 +29,15 @@
 #include <string>
 #include <vector>
 
+#include "stc/campaign/result_store.h"
+#include "stc/campaign/scheduler.h"
 #include "stc/core/self_testable.h"
 #include "stc/driver/runner.h"
 #include "stc/driver/suite_io.h"
 #include "stc/fuzz/corpus.h"
 #include "stc/mfc/component.h"
 #include "stc/oracle/golden_io.h"
+#include "stc/serve/builtin_host.h"
 #include "stc/support/error.h"
 #include "stc/support/rng.h"
 #include "test_paths.h"
@@ -50,7 +59,46 @@ std::string slurp(const std::string& path) {
     return buffer.str();
 }
 
-std::vector<Seed> load_seeds() {
+/// The result store of an 8-mutant CObList campaign, read back through
+/// a file at `store_path`, and the Hello that campaign's dispatch sends.
+void add_campaign_seeds(std::vector<Seed>& seeds, const std::string& store_path) {
+    stc::serve::BuiltinCampaignConfig config;
+    config.component = "coblist";
+    std::string error;
+    auto inputs = stc::serve::make_builtin_inputs(config, &error);
+    if (!inputs) throw stc::Error(error);
+    inputs->mutants.resize(8);
+    stc::campaign::CampaignOptions options = inputs->options;
+    options.store_path = store_path;
+    std::remove(store_path.c_str());
+    const std::string fingerprint =
+        stc::campaign::CampaignScheduler(inputs->holder.component->registry(), options)
+            .run(inputs->suite, inputs->mutants, inputs->probe_suite())
+            .fingerprint;
+
+    seeds.push_back({"peek_store", slurp(store_path), [store_path](std::istream& in) {
+                         {
+                             std::ofstream out(store_path, std::ios::binary);
+                             out << in.rdbuf();
+                         }
+                         std::string why;
+                         if (!stc::campaign::peek_store(store_path, &why)) {
+                             throw stc::Error(why);
+                         }
+                     }});
+    seeds.push_back({"parse_hello", stc::serve::make_hello(config, fingerprint).to_line(),
+                     [](std::istream& in) {
+                         std::stringstream text;
+                         text << in.rdbuf();
+                         const auto hello = stc::obs::JsonObject::parse(text.str());
+                         std::string why = "not a JSON object";
+                         if (!hello || !stc::serve::parse_hello(*hello, &why)) {
+                             throw stc::Error(why);
+                         }
+                     }});
+}
+
+std::vector<Seed> load_seeds(const std::string& store_path) {
     const auto load_entry = [](std::istream& in) { (void)stc::fuzz::load_entry(in); };
     const auto load_suite = [](std::istream& in) { (void)stc::driver::load_suite(in); };
     std::vector<Seed> seeds;
@@ -76,6 +124,7 @@ std::vector<Seed> load_seeds() {
     seeds.push_back({"load_golden", golden.str(), [](std::istream& in) {
                          (void)stc::oracle::load_golden(in);
                      }});
+    add_campaign_seeds(seeds, store_path);
     return seeds;
 }
 
@@ -132,7 +181,9 @@ int main(int argc, char** argv) {
         }
     }
 
-    const std::vector<Seed> seeds = load_seeds();
+    const std::string store_path =
+        "/tmp/stc_reader_fuzz_" + std::to_string(getpid()) + ".jsonl";
+    const std::vector<Seed> seeds = load_seeds(store_path);
     int failures = 0;
     for (const Seed& s : seeds) {
         std::istringstream in(s.text);
@@ -157,6 +208,7 @@ int main(int argc, char** argv) {
         ++failures;
     }
 
+    std::remove(store_path.c_str());
     if (failures != 0) {
         std::cerr << "reader_fuzz: " << failures << " failure(s)\n";
         return 1;

@@ -575,7 +575,8 @@ const serve::BuiltinTarget* single_class_target(const Options& options) {
 
 // `concat campaign <component>`: run an interface-mutation campaign
 // over a registered target — the built-in MFC components (coblist,
-// sortable), the intraclass wallet, or the shop assembly product
+// sortable), the intraclass wallet, the audited-wallet interclass
+// system, or the shop assembly product
 // (--assembly) — sharded across --jobs workers, or across forked
 // sandbox workers under --isolate.  The report (stdout or -o) lists one
 // line per mutant in enumeration order plus the Table 2/3 aggregation —
@@ -1372,7 +1373,7 @@ const Command kCommands[] = {
      "classify a frozen suite against a new release"},
     {"campaign", "COMPONENT", cmd_campaign,
      "parallel mutation campaign over a registered component (coblist, sortable, wallet, "
-     "shop)"},
+     "audited-wallet, shop)"},
     {"kill", "COMPONENT", cmd_kill,
      "synthesize killers for a finished campaign's surviving mutants (bounded "
      "product-state search; every killer is execution-verified and shrunk)"},
@@ -1485,7 +1486,7 @@ std::optional<Options> parse_args(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    // The example targets (wallet, shop) join the pre-registered mfc
+    // The example targets (wallet, audited-wallet, shop) join the pre-registered mfc
     // ones before any command resolves a component name — including a
     // serve daemon's handshake-time lookup.
     stc::examples::register_example_targets();
