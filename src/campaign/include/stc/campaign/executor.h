@@ -57,7 +57,6 @@ public:
     [[nodiscard]] const mutation::EngineOptions& engine() const noexcept {
         return engine_;
     }
-    [[nodiscard]] const driver::TestRunner& runner() const noexcept { return runner_; }
     [[nodiscard]] const oracle::GoldenRecord& golden() const noexcept {
         return golden_;
     }

@@ -58,24 +58,6 @@ struct CampaignOptions {
     /// across workers); manual_oracle, when set, must be thread-safe.
     /// Its obs context is overwritten with the campaign-level `obs`.
     mutation::EngineOptions engine;
-    /// When non-empty, every mutant KILLED in this run has its killing
-    /// test case located, minimized with the delta-debugging shrinker
-    /// (stc::fuzz, preserving the oracle's kill classification), and
-    /// persisted into this corpus directory as a replayable reproducer.
-    /// Requires `spec` and the in-process pool (`executor` null).
-    /// Deterministic per item: the corpus contents do not depend on
-    /// --jobs.  Resumed items are skipped (the original run already
-    /// saved theirs).
-    std::string shrink_corpus_dir;
-    /// Shrink budget per killed mutant, in predicate evaluations (each
-    /// costs a mutated + an unmutated execution of the candidate).
-    std::size_t max_shrink_steps = 256;
-    /// Component spec backing the suite — needed to shrink (TFM path
-    /// validity, value domains).  Non-owning; required iff
-    /// shrink_corpus_dir is set.
-    const tspec::ComponentSpec* spec = nullptr;
-    /// Completions for replay verification of persisted reproducers.
-    const driver::CompletionRegistry* completions = nullptr;
     /// Where pending items run (executor.h); null selects the in-process
     /// pool of `jobs` threads.  Resume, store, telemetry and merge stay
     /// the scheduler's, so fates and reports are byte-identical across
@@ -99,7 +81,6 @@ struct CampaignStats {
     std::size_t items = 0;
     std::size_t executed = 0;  ///< evaluated in this run
     std::size_t resumed = 0;   ///< restored from the result store
-    std::size_t shrunk = 0;    ///< killed mutants with a persisted reproducer
     std::size_t workers = 1;
     std::uint64_t steals = 0;
     /// Sandbox workers re-forked after a crash/timeout/limit kill (0

@@ -46,6 +46,11 @@ public:
     /// failures and record them as results).
     std::uint64_t run(std::vector<Task> tasks) const;
 
+    /// fn(i) for every i in [0, n), on min(jobs, n) workers (at least
+    /// one); fn writes only to slot i.
+    static void for_each_index(std::size_t n, std::size_t jobs,
+                               const std::function<void(std::size_t)>& fn);
+
     /// max(1, std::thread::hardware_concurrency()).
     [[nodiscard]] static std::size_t hardware_workers() noexcept;
 

@@ -1,18 +1,13 @@
 #include "stc/campaign/scheduler.h"
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <mutex>
-#include <optional>
 
 #include "stc/campaign/outcome_codec.h"
 #include "stc/campaign/seed.h"
 #include "stc/campaign/thread_pool.h"
 #include "stc/campaign/work_list.h"
-#include "stc/fuzz/fuzzer.h"
-#include "stc/fuzz/shrink.h"
-#include "stc/mutation/controller.h"
 #include "stc/mutation/prune.h"
 #include "stc/obs/jsonl_sink.h"
 #include "stc/support/error.h"
@@ -97,18 +92,6 @@ CampaignResult CampaignScheduler::run(
     const driver::TestSuite* probe_suite) const {
     const std::size_t jobs =
         options_.jobs == 0 ? WorkStealingPool::hardware_workers() : options_.jobs;
-    const bool shrink_kills = !options_.shrink_corpus_dir.empty();
-    if (shrink_kills && options_.spec == nullptr) {
-        throw ContractError(
-            "CampaignOptions::shrink_corpus_dir requires CampaignOptions::spec "
-            "(the shrinker needs the TFM and the value domains)");
-    }
-    if (shrink_kills && options_.executor != nullptr) {
-        throw ContractError(
-            "CampaignOptions::shrink_corpus_dir requires the in-process pool: "
-            "the shrinker re-executes mutants inside the orchestrator process, "
-            "defeating isolation and remote execution alike");
-    }
     ThreadPoolExecutor pool;
     Executor& executor = options_.executor != nullptr ? *options_.executor : pool;
 
@@ -219,84 +202,10 @@ CampaignResult CampaignScheduler::run(
     options_.obs.metrics.observe_ms("campaign.phase.resume_ms",
                                     ms_since(resume_start));
 
-    // Killing-case shrinking (optional).  Everything here is a pure
-    // function of (mutant, suite, spec, item_seed) — no RNG, no shared
-    // mutable state — so the corpus is byte-identical at any --jobs.
-    std::optional<tfm::Graph> shrink_graph;
-    if (shrink_kills) shrink_graph.emplace(options_.spec->build_tfm());
-    const reflect::ClassBinding& binding = bindings_.at(suite.class_name);
-    const driver::TestRunner& runner = context.runner();
-
-    const auto shrink_kill = [&](const WorkItem& item) -> bool {
-        const mutation::Mutant& mutant = mutants[item.index];
-        const auto run_mutated = [&](const driver::TestCase& tc) {
-            const mutation::MutantActivation activation(mutant);
-            return runner.run_case(binding, tc);
-        };
-        // The shrink predicate preserves the oracle's classification, not
-        // just the verdict: a candidate counts only if the mutated run
-        // still differs from its own unmutated baseline for the same
-        // reason (so OutputDiff kills shrink correctly even though both
-        // runs Pass).
-        const auto classify_candidate =
-            [&](const driver::TestCase& tc) -> oracle::KillReason {
-            const driver::TestResult baseline = runner.run_case(binding, tc);
-            oracle::GoldenEntry entry;
-            entry.case_id = baseline.case_id;
-            entry.verdict = baseline.verdict;
-            entry.report = baseline.report;
-            entry.message = baseline.message;
-            return oracle::classify(entry, run_mutated(tc), engine.oracle,
-                                    engine.manual_oracle);
-        };
-
-        // Locate the killing case: first kill in suite order.
-        const driver::TestCase* killing = nullptr;
-        oracle::KillReason reason = oracle::KillReason::None;
-        for (const driver::TestCase& tc : suite.cases) {
-            const oracle::GoldenEntry* golden_entry = out.run.golden.find(tc.id);
-            if (golden_entry == nullptr) continue;
-            reason = oracle::classify(*golden_entry, run_mutated(tc),
-                                      engine.oracle, engine.manual_oracle);
-            if (reason != oracle::KillReason::None) {
-                killing = &tc;
-                break;
-            }
-        }
-        if (killing == nullptr) return false;  // no single case reproduces it
-
-        fuzz::ShrinkOptions shrink_options;
-        shrink_options.max_steps = options_.max_shrink_steps;
-        shrink_options.obs = options_.obs;
-        const oracle::KillReason target = reason;
-        const fuzz::ShrinkResult shrunk = fuzz::shrink_case(
-            *options_.spec, *shrink_graph, *killing,
-            [&](const driver::TestCase& tc) {
-                return classify_candidate(tc) == target;
-            },
-            shrink_options);
-
-        fuzz::CorpusEntry entry;
-        entry.suite.class_name = suite.class_name;
-        entry.suite.model_nodes = suite.model_nodes;
-        entry.suite.model_links = suite.model_links;
-        entry.suite.cases.push_back(shrunk.minimized);
-        const driver::TestResult observed = run_mutated(shrunk.minimized);
-        entry.verdict = observed.verdict;
-        entry.failed_method = observed.failed_method;
-        entry.mutant_id = mutant.id();
-        entry.kill_reason = oracle::to_string(target);
-        const fuzz::PersistOutcome persisted =
-            fuzz::persist_entry(options_.shrink_corpus_dir, entry,
-                                options_.completions, run_mutated, item.item_seed);
-        return persisted.reproducible;
-    };
-
     // Item completion — the one place an item's fate lands: its outcome
     // slot, the pair totals, the item-finish event and the store record.
     // Runs on whichever thread the executor reports from, so everything
-    // it touches is per-item, atomic, or internally locked.
-    std::atomic<std::size_t> shrunk_count{0};
+    // it touches is per-item or internally locked.
     std::mutex totals_mutex;
     const Executor::Done complete = [&](const WorkItem& item, ItemResult result) {
         mutation::MutantOutcome& outcome = outcomes[item.index];
@@ -306,13 +215,6 @@ CampaignResult CampaignScheduler::run(
             const std::lock_guard<std::mutex> lock(totals_mutex);
             out.stats.pairs += result.stats;
         }
-        bool shrunk = false;
-        if (shrink_kills && outcome.fate == mutation::MutantFate::Killed) {
-            const auto shrink_start = Clock::now();
-            shrunk = shrink_kill(item);
-            result.wall_ms += ms_since(shrink_start);
-            if (shrunk) shrunk_count.fetch_add(1, std::memory_order_relaxed);
-        }
 
         obs::JsonObject finish;
         finish.set("event", "item-finish")
@@ -320,8 +222,7 @@ CampaignResult CampaignScheduler::run(
             .set("mutant", item.mutant_id)
             .set("worker", static_cast<std::uint64_t>(result.worker));
         encode_outcome(finish, outcome);
-        finish.set("shrunk", shrunk)
-            .set("item_seed", item.item_seed)
+        finish.set("item_seed", item.item_seed)
             .set("wall_ms", result.wall_ms);
         if (context.pruned()) encode_prune_stats(finish, result.stats);
         emit(finish);
@@ -351,7 +252,6 @@ CampaignResult CampaignScheduler::run(
     out.stats.workers = executed.workers;
     out.stats.steals = executed.steals;
     out.stats.respawns = executed.respawns;
-    out.stats.shrunk = shrunk_count.load();
     out.stats.pruned = context.pruned();
     out.run.outcomes = std::move(outcomes);
 
@@ -362,7 +262,6 @@ CampaignResult CampaignScheduler::run(
     metrics.add("campaign.resumed", out.stats.resumed);
     metrics.add("campaign.steals", out.stats.steals);
     metrics.add("campaign.respawns", out.stats.respawns);
-    metrics.add("campaign.shrunk", out.stats.shrunk);
     if (out.stats.pruned) {
         const mutation::PruneStats& pairs = out.stats.pairs;
         metrics.add("campaign.executed_pairs", pairs.executed_pairs);

@@ -105,4 +105,15 @@ std::uint64_t WorkStealingPool::run(std::vector<Task> tasks) const {
     return steals.load(std::memory_order_relaxed);
 }
 
+void WorkStealingPool::for_each_index(std::size_t n, std::size_t jobs,
+                                      const std::function<void(std::size_t)>& fn) {
+    std::vector<Task> tasks;
+    tasks.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        tasks.push_back([&fn, i](const WorkerContext&) { fn(i); });
+    }
+    (void)WorkStealingPool(std::max<std::size_t>(1, std::min(jobs, n)))
+        .run(std::move(tasks));
+}
+
 }  // namespace stc::campaign

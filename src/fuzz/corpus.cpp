@@ -7,7 +7,7 @@
 #include <ostream>
 #include <sstream>
 
-#include "stc/campaign/seed.h"  // header-only fnv1a64 (content hashing)
+#include "stc/campaign/seed.h"
 #include "stc/driver/wire_format.h"
 #include "stc/support/error.h"
 #include "stc/support/strings.h"
@@ -18,16 +18,6 @@ namespace {
 
 constexpr const char* kMagic = "concat-corpus 1";
 constexpr const char* kSuiteMagic = "concat-suite 1";
-
-std::string hex16(std::uint64_t value) {
-    static constexpr char digits[] = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = digits[value & 0xf];
-        value >>= 4;
-    }
-    return out;
-}
 
 /// Filenames must survive any filesystem: keep [A-Za-z0-9._-], map the
 /// rest (e.g. "::" in qualified class names) to '_'.
@@ -147,7 +137,7 @@ std::string entry_filename(const CorpusEntry& entry) {
     save_entry(text, entry);
     return sanitize(entry.suite.class_name) + "-" +
            driver::to_string(entry.verdict) + "-" +
-           hex16(campaign::fnv1a64(text.str())) + ".suite";
+           campaign::to_hex(campaign::fnv1a64(text.str())) + ".suite";
 }
 
 std::vector<std::string> list_corpus(const std::string& dir) {

@@ -324,14 +324,12 @@ FuzzResult Fuzzer::run() {
         if (!finding_keys.insert(finding.key()).second) continue;
 
         finding.original = input;
-        const auto still_fails = [&](const driver::TestCase& candidate) {
-            return execute(candidate).verdict == finding.verdict;
-        };
         ShrinkOptions shrink_options;
         shrink_options.max_steps = options_.max_shrink_steps;
         shrink_options.obs = options_.obs;
-        finding.shrink =
-            shrink_case(spec_, graph, input, still_fails, shrink_options);
+        finding.shrink = shrink_case(spec_, graph, input,
+                                     shows_verdict(execute, finding.verdict),
+                                     shrink_options);
         finding.reproducer = finding.shrink.minimized;
         options_.obs.metrics.add("fuzz.findings");
         out.findings.push_back(std::move(finding));
@@ -343,10 +341,15 @@ FuzzResult Fuzzer::run() {
     return out;
 }
 
-PersistOutcome persist_entry(const std::string& dir, CorpusEntry entry,
-                             const driver::CompletionRegistry* completions,
-                             const CaseRunner& runner,
-                             std::uint64_t entry_seed) {
+Predicate shows_verdict(CaseRunner run, driver::Verdict verdict) {
+    return [run = std::move(run), verdict](const driver::TestCase& tc) {
+        return run(tc).verdict == verdict;
+    };
+}
+
+std::string persist_entry(const std::string& dir, CorpusEntry entry,
+                          const driver::CompletionRegistry* completions,
+                          const Predicate& replays, std::uint64_t entry_seed) {
     entry.suite.seed = entry_seed;
     if (entry.suite.cases.size() != 1) {
         throw Error("persist_entry: corpus entry must hold exactly one case");
@@ -354,7 +357,7 @@ PersistOutcome persist_entry(const std::string& dir, CorpusEntry entry,
 
     // Prove the persisted bytes replay: pointer arguments survive only as
     // placeholders, so the file is trusted only if reload + recompletion
-    // (from the recorded seed) reproduces the recorded verdict.
+    // (from the recorded seed) still passes the entry's replay rule.
     std::ostringstream text;
     save_entry(text, entry);
     std::istringstream in(text.str());
@@ -362,14 +365,12 @@ PersistOutcome persist_entry(const std::string& dir, CorpusEntry entry,
     if (completions != nullptr) {
         (void)driver::recomplete_suite(reloaded.suite, *completions, entry_seed);
     }
-    const driver::TestResult replay = runner(reloaded.suite.cases.front());
-    if (replay.verdict != entry.verdict) return {};
+    if (!replays(reloaded.suite.cases.front())) return {};
 
-    PersistOutcome out;
-    out.reproducible = true;
-    out.path = (dir.empty() ? std::string(".") : dir) + "/" + entry_filename(entry);
-    save_entry_file(out.path, entry);
-    return out;
+    const std::string path =
+        (dir.empty() ? std::string(".") : dir) + "/" + entry_filename(entry);
+    save_entry_file(path, entry);
+    return path;
 }
 
 }  // namespace stc::fuzz

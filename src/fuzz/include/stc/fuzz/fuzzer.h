@@ -122,21 +122,20 @@ private:
     CaseRunner runner_;
 };
 
-/// Outcome of persisting one finding into a corpus directory.
-struct PersistOutcome {
-    std::string path;           ///< file written ("" when not reproducible)
-    bool reproducible = false;  ///< reloaded+recompleted replay matched
-};
+/// The component-fault replay rule: a case still fails when `run` shows
+/// `verdict` on it.  The fuzzer shrinks its findings under it, and a
+/// corpus entry without a kill reason replays under it.
+[[nodiscard]] Predicate shows_verdict(CaseRunner run, driver::Verdict verdict);
 
 /// Persist `entry` into `dir` under its canonical filename — but only
 /// after proving the *persisted* form replays: the entry is serialized,
 /// reloaded, its structured placeholders recompleted from `entry_seed`
-/// (stored in the file), and re-run through `runner`; a verdict mismatch
-/// (e.g. a pointer argument whose identity mattered) yields
-/// reproducible=false and no file.
-[[nodiscard]] PersistOutcome persist_entry(
+/// (stored in the file), and checked with `replays` (the entry's replay
+/// rule).  Returns the path written, or "" when the check failed (e.g.
+/// a pointer argument whose identity mattered) and nothing was written.
+[[nodiscard]] std::string persist_entry(
     const std::string& dir, CorpusEntry entry,
-    const driver::CompletionRegistry* completions, const CaseRunner& runner,
+    const driver::CompletionRegistry* completions, const Predicate& replays,
     std::uint64_t entry_seed);
 
 }  // namespace stc::fuzz

@@ -7,11 +7,12 @@
 // (search.h) hunts for a transaction that traverses the mutated site
 // and then diverges observably; a candidate only counts after it has
 // been executed against the real mutant and killed it.  Verified
-// killers are ddmin-shrunk with stc::fuzz's shrinker (the predicate
-// demands the SAME kill classification, not just any failure),
-// content-hashed into the regression corpus, and folded back into the
-// store records (fate killed, synthesized flag) so `concat campaign
-// --resume` and `concat stats` reflect the raised score.
+// killers go through the shared reproducer path (reproduce.h): ddmin-
+// shrunk under the corpus replay rule (the SAME kill classification,
+// not just any failure) and content-hashed into the regression corpus.
+// Their fates are folded back into the store records (fate killed,
+// synthesized flag) so `concat campaign --resume` and `concat stats`
+// reflect the raised score.
 //
 // Determinism: per-mutant searches are independent and internally
 // sequential; --jobs only distributes mutants across threads, results
@@ -86,8 +87,7 @@ struct KillRun {
     std::size_t killed_before = 0;
     std::size_t killed_after = 0;
 
-    /// The campaign score before/after synthesis:
-    /// killed / (total - equivalent), 1.0 when the denominator is 0.
+    /// The campaign score before/after synthesis (mutation::mutation_score).
     [[nodiscard]] double score_before() const noexcept;
     [[nodiscard]] double score_after() const noexcept;
 };

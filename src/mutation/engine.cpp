@@ -67,16 +67,19 @@ std::size_t MutationRun::not_covered() const noexcept {
     return n;
 }
 
-double MutationRun::score() const noexcept {
-    const std::size_t denom = total() - equivalent();
+double mutation_score(std::size_t killed, std::size_t total,
+                      std::size_t equivalent) noexcept {
+    const std::size_t denom = total - equivalent;
     if (denom == 0) return 1.0;
-    return static_cast<double>(killed()) / static_cast<double>(denom);
+    return static_cast<double>(killed) / static_cast<double>(denom);
+}
+
+double MutationRun::score() const noexcept {
+    return mutation_score(killed(), total(), equivalent());
 }
 
 double MutationRun::covered_score() const noexcept {
-    const std::size_t denom = total() - equivalent() - not_covered();
-    if (denom == 0) return 1.0;
-    return static_cast<double>(killed()) / static_cast<double>(denom);
+    return mutation_score(killed(), total() - not_covered(), equivalent());
 }
 
 MutationEngine::MutationEngine(const reflect::Registry& bindings, EngineOptions options)

@@ -85,6 +85,12 @@ struct EngineOptions {
     obs::Context obs{};
 };
 
+/// The paper's mutation score, killed / (total - equivalent): the one
+/// formula behind every score a report prints.  NaN-free: 1.0 when no
+/// non-equivalent mutants exist.
+[[nodiscard]] double mutation_score(std::size_t killed, std::size_t total,
+                                    std::size_t equivalent) noexcept;
+
 /// Aggregated result of one mutation-analysis run.
 struct MutationRun {
     std::vector<MutantOutcome> outcomes;

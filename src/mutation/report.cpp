@@ -18,9 +18,7 @@ void Tally::add(const MutantOutcome& outcome) {
 }
 
 double Tally::score() const noexcept {
-    const std::size_t denom = total - equivalent;
-    if (denom == 0) return 1.0;
-    return static_cast<double>(killed) / static_cast<double>(denom);
+    return mutation_score(killed, total, equivalent);
 }
 
 MutationTable MutationTable::build(const MutationRun& run) {

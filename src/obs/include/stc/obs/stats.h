@@ -1,9 +1,10 @@
 // Aggregation of a campaign telemetry stream (docs/FORMATS.md §5) into
 // a human-readable run summary — the `concat stats` reporter.
 //
-// Input is the JSONL written through JsonlSink by the campaign
-// scheduler: campaign-start / item-resumed / item-start / item-finish /
-// campaign-end events.  A file may hold several *generations* (a
+// Input is the JSONL a campaign writes through JsonlSink: the
+// scheduler's campaign-start / item-resumed / item-start / item-finish /
+// campaign-end events, then the item-shrunk events of the
+// --shrink-corpus post-pass.  A file may hold several *generations* (a
 // resumed campaign appends a new campaign-start; satellite of the
 // resume contract), and its tail line may be torn by the interruption
 // that made the resume necessary — both are handled: items deduplicate
@@ -94,7 +95,9 @@ struct TelemetryStats {
     std::size_t metrics_snapshots = 0;
 
     std::vector<Item> items;  ///< sorted by index
-    std::size_t shrunk_items = 0;  ///< item-finish events with a persisted reproducer
+    /// item-shrunk events (persisted kill reproducers) of the last
+    /// generation.
+    std::size_t shrunk_items = 0;
     /// Kill-reason names the stream declared (one `kill-reason` event
     /// per kind at campaign end) — rows for the kill-reason table even
     /// at count zero, so a detector that never fired stays visible.

@@ -97,8 +97,10 @@ void TelemetryStats::absorb_event(const JsonObject& event) {
             out.declared_mutants = event.get_uint("mutants").value_or(0);
             out.cases = event.get_uint("cases").value_or(0);
             out.model = event.get_bool("model").value_or(false);
-            // A new generation re-declares its kill-reason rows.
+            // A new generation re-declares its kill-reason rows, and its
+            // shrink post-pass re-persists every kill, resumed ones too.
             out.declared_kill_reasons.clear();
+            out.shrunk_items = 0;
         } else if (kind == "kill-reason") {
             if (const auto name = event.get_string("reason")) {
                 out.declared_kill_reasons.push_back(*name);
@@ -107,8 +109,9 @@ void TelemetryStats::absorb_event(const JsonObject& event) {
             ++out.starts;
         } else if (kind == "item-finish") {
             ++out.finishes;
-            if (event.get_bool("shrunk").value_or(false)) ++out.shrunk_items;
             upsert(true);
+        } else if (kind == "item-shrunk") {
+            ++out.shrunk_items;
         } else if (kind == "item-resumed") {
             ++out.resumes;
             upsert(false);

@@ -564,6 +564,19 @@ TEST_F(CliTest, CampaignShrinkCorpusIsIdenticalAcrossJobCounts) {
     }
 }
 
+TEST_F(CliTest, CampaignRefusesShrinkCorpusUnderIsolation) {
+    // Shrinking re-executes mutants in the orchestrator process, which
+    // would defeat the sandbox: a usage error, and no corpus is written.
+    const std::string dir =
+        "/tmp/stc_cli_iso_corpus_" + std::to_string(getpid());
+    EXPECT_EQ(run("campaign coblist --isolate --shrink-corpus " + dir,
+                  "/tmp/stc_cli_iso_shrink.out"),
+              2);
+    EXPECT_NE(slurp("/tmp/stc_cli_iso_shrink.out").find("--isolate"),
+              std::string::npos);
+    EXPECT_TRUE(stc::fuzz::list_corpus(dir).empty());
+}
+
 // ----------------------------------------------------------------- kill
 
 TEST_F(CliTest, KillValidatesItsStoreAndGating) {

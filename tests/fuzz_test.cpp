@@ -245,17 +245,17 @@ TEST_F(FuzzTest, PersistedFindingsReplayFromDisk) {
         std::filesystem::remove_all(dir);
         const Finding& finding = result.findings.front();
         const CaseRunner runner = runner_for(&mutant);
-        const PersistOutcome outcome = persist_entry(
-            dir, finding.to_corpus_entry("Counter"), nullptr, runner, 99);
-        ASSERT_TRUE(outcome.reproducible);
-        ASSERT_FALSE(outcome.path.empty());
+        const std::string path =
+            persist_entry(dir, finding.to_corpus_entry("Counter"), nullptr,
+                          shows_verdict(runner, finding.verdict), 99);
+        ASSERT_FALSE(path.empty());
 
         const auto listed = list_corpus(dir);
         ASSERT_EQ(listed.size(), 1u);
-        EXPECT_EQ(listed.front(), outcome.path);
+        EXPECT_EQ(listed.front(), path);
 
         // Reload from disk and replay: the recorded verdict holds.
-        const CorpusEntry reloaded = load_entry_file(outcome.path);
+        const CorpusEntry reloaded = load_entry_file(path);
         EXPECT_EQ(reloaded.suite.seed, 99u);
         const auto replay = runner(reloaded.reproducer());
         EXPECT_EQ(replay.verdict, reloaded.verdict);

@@ -393,6 +393,31 @@ TEST(TelemetryStats, EmptyAndMissingInputsAreHandled) {
                  Error);
 }
 
+TEST(TelemetryStats, CountsTheShrinkPostPassOfTheLastGeneration) {
+    // A --shrink-corpus campaign appends item-shrunk events after
+    // campaign-end; a resumed generation reproduces every kill again, so
+    // only the last generation's events count.
+    std::istringstream in(
+        R"({"event":"campaign-start","class":"X","mutants":2})" "\n"
+        R"({"event":"item-finish","item":0,"mutant":"m0","fate":"killed","reason":"crash"})" "\n"
+        R"({"event":"campaign-end","killed":1})" "\n"
+        R"({"event":"item-shrunk","item":0,"mutant":"m0","reason":"crash","calls":3})" "\n"
+        R"({"event":"campaign-start","class":"X","mutants":2})" "\n"
+        R"({"event":"item-resumed","item":0,"mutant":"m0","fate":"killed","reason":"crash"})" "\n"
+        R"({"event":"item-finish","item":1,"mutant":"m1","fate":"killed","reason":"assertion"})" "\n"
+        R"({"event":"campaign-end","killed":2})" "\n"
+        R"({"event":"item-shrunk","item":0,"mutant":"m0","reason":"crash","calls":3})" "\n"
+        R"({"event":"item-shrunk","item":1,"mutant":"m1","reason":"assertion","calls":4})" "\n");
+    const TelemetryStats stats = TelemetryStats::from_stream(in);
+    EXPECT_EQ(stats.shrunk_items, 2u);
+    std::ostringstream text;
+    stats.render(text);
+    EXPECT_NE(text.str().find(", 2 kill(s) shrunk"), std::string::npos);
+    std::ostringstream json;
+    stats.write_json(json);
+    EXPECT_NE(json.str().find("\"shrunk\":2"), std::string::npos);
+}
+
 TEST(TelemetryStats, FromFilesDeduplicatesItemsAndTalliesDispatchEvents) {
     const std::string coord =
         "/tmp/stc_obs_files_coord_" + std::to_string(getpid()) + ".jsonl";

@@ -1,14 +1,17 @@
 // Fuzz driver for the readers of persisted and received artifacts:
-// corpus entries (fuzz::load_entry), concat-suite files
-// (driver::load_suite), golden records (oracle::load_golden), result
-// stores (campaign::peek_store) and dispatch Hello payloads
-// (serve::parse_hello).  The seeds are the checked-in corpus/*.suite
-// entries, the suite block each one embeds, a golden record saved from a
-// CObList baseline run, the result store of a short CObList campaign
-// and the Hello that campaign's dispatch would send; each iteration
-// byte-mutates one of them — overwrites, inserts, deletes, truncation —
-// favouring the bytes the formats give meaning to ('%', '|', ':', digits,
-// line breaks).
+// corpus entries (fuzz::load_entry) and their kill reasons
+// (kill::entry_reason), concat-suite files (driver::load_suite), golden
+// records (oracle::load_golden), result stores (campaign::peek_store),
+// dispatch Hello payloads (serve::parse_hello) and growing telemetry
+// files (obs::TelemetryTail, the `stats --follow` reader).  The seeds are
+// the checked-in corpus/*.suite entries, the suite block and the `reason`
+// value each one embeds, a golden record saved from a CObList baseline
+// run, the result store and the --shrink-corpus telemetry of a short
+// CObList campaign, and the Hello that campaign's dispatch would send;
+// each iteration byte-mutates one of them — overwrites, inserts,
+// deletes, truncation — favouring the bytes the formats give meaning to
+// ('%', '|', ':', digits, line breaks).  The telemetry reaches the tail
+// reader in random-sized appends, so lines arrive torn.
 //
 // The invariant: a reader returns a value or throws stc::Error.  Any
 // other exception (std::invalid_argument from a number parse, say) is a
@@ -18,10 +21,12 @@
 // `reader_fuzz --iters N [--seed S]` is the long-haul form.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -35,7 +40,9 @@
 #include "stc/driver/runner.h"
 #include "stc/driver/suite_io.h"
 #include "stc/fuzz/corpus.h"
+#include "stc/kill/reproduce.h"
 #include "stc/mfc/component.h"
+#include "stc/obs/stats.h"
 #include "stc/oracle/golden_io.h"
 #include "stc/serve/builtin_host.h"
 #include "stc/support/error.h"
@@ -60,7 +67,9 @@ std::string slurp(const std::string& path) {
 }
 
 /// The result store of an 8-mutant CObList campaign, read back through
-/// a file at `store_path`, and the Hello that campaign's dispatch sends.
+/// a file at `store_path`; its telemetry with the --shrink-corpus
+/// post-pass events, tailed from a file at `store_path`.tail; and the
+/// Hello that campaign's dispatch sends.
 void add_campaign_seeds(std::vector<Seed>& seeds, const std::string& store_path) {
     stc::serve::BuiltinCampaignConfig config;
     config.component = "coblist";
@@ -70,11 +79,55 @@ void add_campaign_seeds(std::vector<Seed>& seeds, const std::string& store_path)
     inputs->mutants.resize(8);
     stc::campaign::CampaignOptions options = inputs->options;
     options.store_path = store_path;
+    options.telemetry_path = store_path + ".telemetry";
     std::remove(store_path.c_str());
-    const std::string fingerprint =
+    std::remove(options.telemetry_path.c_str());
+    const stc::campaign::CampaignResult result =
         stc::campaign::CampaignScheduler(inputs->holder.component->registry(), options)
-            .run(inputs->suite, inputs->mutants, inputs->probe_suite())
-            .fingerprint;
+            .run(inputs->suite, inputs->mutants, inputs->probe_suite());
+    const std::string& fingerprint = result.fingerprint;
+
+    stc::kill::KillContext context;
+    context.spec = &inputs->holder.component->spec();
+    context.registry = &inputs->holder.component->registry();
+    context.completions = inputs->holder.completions;
+    context.mutants = &inputs->mutants;
+    stc::kill::KillOptions pass;
+    pass.seed = options.seed;
+    pass.corpus_dir = store_path + ".corpus";
+    pass.search.runner = options.engine.runner;
+    pass.telemetry = stc::obs::JsonlSink::to_file(
+        options.telemetry_path, stc::obs::JsonlSink::OpenMode::Append);
+    if (stc::kill::shrink_campaign_kills(context, inputs->suite, result, pass) == 0) {
+        throw stc::Error("the seed campaign persisted no reproducer");
+    }
+    pass.telemetry = {};
+    std::filesystem::remove_all(pass.corpus_dir);
+    const std::string tail_path = store_path + ".tail";
+    seeds.push_back({"TelemetryTail::poll", slurp(options.telemetry_path),
+                     [tail_path](std::istream& in) {
+                         std::stringstream all;
+                         all << in.rdbuf();
+                         const std::string text = all.str();
+                         std::ofstream out(tail_path, std::ios::binary | std::ios::trunc);
+                         stc::obs::TelemetryTail tail(tail_path);
+                         stc::obs::TelemetryStats stats;
+                         Pcg32 cuts(text.size());
+                         for (std::size_t at = 0; at < text.size();) {
+                             const std::size_t n = 1 + cuts.index(160);
+                             out.write(text.data() + at,
+                                       static_cast<std::streamsize>(
+                                           std::min(n, text.size() - at)));
+                             out.flush();
+                             (void)tail.poll(stats);
+                             at += n;
+                         }
+                         stats.sort_items();
+                         std::ostringstream rendered;
+                         stats.render(rendered, 10);
+                         stats.render_follow(rendered, 1.0);
+                     }});
+    std::remove(options.telemetry_path.c_str());
 
     seeds.push_back({"peek_store", slurp(store_path), [store_path](std::istream& in) {
                          {
@@ -108,6 +161,21 @@ std::vector<Seed> load_seeds(const std::string& store_path) {
         seeds.push_back({"load_entry", entry, load_entry});
         seeds.push_back(
             {"load_suite", entry.substr(entry.find("concat-suite 1")), load_suite});
+        // The entry with its `reason` value mutated, through the rule's
+        // reason parsing.
+        const std::size_t reason = entry.find("\nreason ");
+        if (reason == std::string::npos) continue;
+        const std::size_t value = reason + 8;
+        const std::size_t end = entry.find('\n', value);
+        seeds.push_back({"entry_reason", entry.substr(value, end - value),
+                         [head = entry.substr(0, value),
+                          tail = entry.substr(end)](std::istream& in) {
+                             std::stringstream text;
+                             text << head << in.rdbuf();
+                             text.clear();
+                             text << tail;
+                             (void)stc::kill::entry_reason(stc::fuzz::load_entry(text));
+                         }});
     }
 
     stc::mfc::ElementPool pool;
@@ -209,6 +277,7 @@ int main(int argc, char** argv) {
     }
 
     std::remove(store_path.c_str());
+    std::remove((store_path + ".tail").c_str());
     if (failures != 0) {
         std::cerr << "reader_fuzz: " << failures << " failure(s)\n";
         return 1;

@@ -453,14 +453,6 @@ TEST_F(IsolatedCampaignTest, BenignFatesMatchInProcessAtSeveralJobCounts) {
     }
 }
 
-TEST_F(IsolatedCampaignTest, IsolationRejectsTheShrinker) {
-    campaign::CampaignOptions options;
-    options.executor = std::make_shared<SandboxExecutor>();
-    options.shrink_corpus_dir = "/tmp/stc_isolate_shrink_corpus";
-    options.spec = &spec_;
-    EXPECT_THROW((void)run_campaign(options), ContractError);
-}
-
 // ------------------------------------------------------ hostile campaign
 
 /// Scoped STC_HOSTILE_FAULTS=1 — the opt-in for REAL faults.

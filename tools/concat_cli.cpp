@@ -40,6 +40,7 @@
 #include "stc/fuzz/shrink.h"
 #include "stc/history/version_diff.h"
 #include "stc/kill/kill.h"
+#include "stc/kill/reproduce.h"
 #include "stc/model/model.h"
 #include "stc/mutation/controller.h"
 #include "stc/mutation/report.h"
@@ -188,7 +189,9 @@ const Flag kFlags[] = {
      "campaign kill fuzz serve dispatch", "JSONL telemetry"},
     {"--shrink-corpus", Kind::String, "DIR",
      [](auto& o, auto& v) { o.shrink_corpus = v.text; },
-     "campaign", "shrink each kill into corpus directory DIR"},
+     "campaign",
+     "after the campaign, shrink each kill into corpus directory DIR (refused with "
+     "--isolate)"},
     {"--isolate", Kind::Switch, "", [](auto& o, auto&) { o.isolate = true; },
      "campaign fuzz",
      "run each item in a forked sandbox worker: a real crash/hang/OOM kills only the "
@@ -573,6 +576,38 @@ const serve::BuiltinTarget* single_class_target(const Options& options) {
     return target;
 }
 
+/// The kill path's component and options for a builtin target, shared
+/// by `concat kill` and the `campaign --shrink-corpus` post-pass: the
+/// campaign's runner (with --model's reference model), --seed, --jobs,
+/// --max-shrink-steps and the search flags, and --telemetry-out opened
+/// with `mode`.
+std::pair<kill::KillContext, kill::KillOptions> kill_inputs(
+    const Options& options, const serve::BuiltinInputs& inputs,
+    obs::JsonlSink::OpenMode mode) {
+    kill::KillContext context;
+    context.spec = &inputs.holder.component->spec();
+    context.registry = &inputs.holder.component->registry();
+    // Null for targets without pointer-typed parameters (the shop
+    // assembly): persist_entry then skips recompletion on replay.
+    context.completions = inputs.holder.completions;
+    context.mutants = &inputs.mutants;
+    kill::KillOptions out;
+    out.seed = options.generator.seed;
+    out.jobs = options.jobs == 0 ? campaign::WorkStealingPool::hardware_workers()
+                                 : options.jobs;
+    out.max_shrink_steps = options.max_shrink_steps;
+    out.obs = options.obs;
+    out.search = options.search;
+    out.search.seed = options.generator.seed;
+    out.search.runner = inputs.options.engine.runner;
+    out.search.runner.obs = options.obs;
+    out.search.obs = options.obs;
+    if (options.telemetry_path) {
+        out.telemetry = obs::JsonlSink::to_file(*options.telemetry_path, mode);
+    }
+    return {context, out};
+}
+
 // `concat campaign <component>`: run an interface-mutation campaign
 // over a registered target — the built-in MFC components (coblist,
 // sortable), the intraclass wallet, the audited-wallet interclass
@@ -599,6 +634,12 @@ int cmd_campaign(const Options& options) {
         std::cerr << "concat dispatch: --workers is required\n";
         return 2;
     }
+    if (options.shrink_corpus && options.isolate) {
+        std::cerr << "concat campaign: --shrink-corpus cannot run with --isolate "
+                     "(shrinking re-executes mutants in this process, which "
+                     "defeats isolation)\n";
+        return 2;
+    }
     const serve::BuiltinCampaignConfig config = builtin_config(options);
     if (const int rc = check_assembly_flag(
             options, serve::find_builtin_target(config.component))) {
@@ -619,14 +660,6 @@ int cmd_campaign(const Options& options) {
     if (options.store_path) campaign_options.store_path = *options.store_path;
     if (options.telemetry_path) {
         campaign_options.telemetry_path = *options.telemetry_path;
-    }
-    if (options.shrink_corpus) {
-        campaign_options.shrink_corpus_dir = *options.shrink_corpus;
-        campaign_options.max_shrink_steps = options.max_shrink_steps;
-        campaign_options.spec = &component.spec();
-        // Null for targets without pointer-typed parameters (the shop
-        // assembly): persist_entry then skips recompletion on replay.
-        campaign_options.completions = inputs->holder.completions;
     }
     if (options.isolate) {
         campaign_options.executor =
@@ -685,6 +718,18 @@ int cmd_campaign(const Options& options) {
         scheduler.run(suite, inputs->mutants, inputs->probe_suite());
     if (options.progress) render_progress();  // the closing snapshot
 
+    // --shrink-corpus: reproduce every kill into the corpus, after the
+    // campaign and outside the engine, through the path `concat kill`
+    // persists its killers with.
+    std::size_t shrunk = 0;
+    if (options.shrink_corpus) {
+        auto [context, pass] =
+            kill_inputs(options, *inputs, obs::JsonlSink::OpenMode::Append);
+        pass.corpus_dir = *options.shrink_corpus;
+        shrunk = kill::shrink_campaign_kills(context, suite, result, pass);
+    }
+    options.obs.metrics.add("campaign.shrunk", shrunk);
+
     std::ostringstream report;
     mutation::render_campaign_report(report, result.run, suite.class_name,
                                      suite.size(), options.generator.seed);
@@ -707,7 +752,7 @@ int cmd_campaign(const Options& options) {
                   << " resumed=" << result.stats.resumed
                   << " steals=" << result.stats.steals
                   << " respawns=" << result.stats.respawns
-                  << " shrunk=" << result.stats.shrunk
+                  << " shrunk=" << shrunk
                   << " wall_ms=" << result.stats.wall_ms << "\n";
     }
     if (result.stats.pruned) {
@@ -755,12 +800,10 @@ int cmd_kill(const Options& options) {
         std::cerr << "concat kill: " << error << "\n";
         return 2;
     }
-    const core::SelfTestableComponent& component = *inputs->holder.component;
     const driver::TestSuite& suite = inputs->suite;
-    const driver::ModelBinding* model_binding =
-        inputs->options.engine.runner.model;
     const std::string fingerprint =
-        campaign::CampaignScheduler(component.registry(), inputs->options)
+        campaign::CampaignScheduler(inputs->holder.component->registry(),
+                                    inputs->options)
             .fingerprint(suite, inputs->mutants, inputs->probe_suite());
 
     std::string store_error;
@@ -787,29 +830,9 @@ int cmd_kill(const Options& options) {
                                  *options.store_path + ")\n");
     }
 
-    kill::KillContext context;
-    context.spec = &component.spec();
-    context.registry = &component.registry();
-    context.completions = inputs->holder.completions;
-    context.mutants = &inputs->mutants;
-
-    kill::KillOptions kill_options;
-    kill_options.seed = options.generator.seed;
-    kill_options.jobs = options.jobs == 0
-                            ? campaign::WorkStealingPool::hardware_workers()
-                            : options.jobs;
-    if (options.corpus_dir) kill_options.corpus_dir = *options.corpus_dir;
-    kill_options.max_shrink_steps = options.max_shrink_steps;
-    kill_options.obs = options.obs;
-    kill_options.search = options.search;
-    kill_options.search.seed = options.generator.seed;
-    kill_options.search.runner.obs = options.obs;
-    kill_options.search.runner.model = model_binding;
-    kill_options.search.obs = options.obs;
-    if (options.telemetry_path) {
-        kill_options.telemetry = obs::JsonlSink::to_file(
-            *options.telemetry_path, obs::JsonlSink::OpenMode::Truncate);
-    }
+    auto [context, kill_options] =
+        kill_inputs(options, *inputs, obs::JsonlSink::OpenMode::Truncate);
+    kill_options.corpus_dir = options.corpus_dir.value_or("");
 
     const kill::KillRun run =
         kill::kill_survivors(context, peek->records, kill_options);
@@ -994,12 +1017,12 @@ int cmd_fuzz(const Options& options) {
         if (options.corpus_dir) {
             const std::uint64_t entry_seed = campaign::derive_item_seed(
                 fuzz_options.seed, fuzz_options.mutant_id, finding.key());
-            const auto outcome =
-                fuzz::persist_entry(*options.corpus_dir,
-                                    finding.to_corpus_entry(class_name),
-                                    &completions, case_runner, entry_seed);
-            if (outcome.reproducible) {
-                line << "  -> " << std::filesystem::path(outcome.path).filename().string();
+            const std::string path = fuzz::persist_entry(
+                *options.corpus_dir, finding.to_corpus_entry(class_name),
+                &completions, fuzz::shows_verdict(case_runner, finding.verdict),
+                entry_seed);
+            if (!path.empty()) {
+                line << "  -> " << std::filesystem::path(path).filename().string();
             } else {
                 line << "  [NOT-REPRODUCIBLE]";
                 rc = 1;
@@ -1127,10 +1150,11 @@ int cmd_run(const Options& options) {
 }
 
 // `concat shrink <component> --case FILE`: reload one corpus
-// entry, verify it still replays to its recorded verdict, re-shrink it
-// under the given budget, and write the minimized entry back (--corpus
-// DIR for the canonical filename, else -o/stdout).  Exit 1 when the
-// replay no longer matches — a stale entry is a signal, not noise.
+// entry, verify it still passes its replay rule (a kill entry must still
+// kill its mutant for its recorded reason; kill/reproduce.h), re-shrink
+// it under that rule and the given budget, and write the minimized entry
+// back (--corpus DIR for the canonical filename, else -o/stdout).  Exit 1
+// when the entry no longer replays — a stale entry is a signal, not noise.
 int cmd_shrink(const Options& options) {
     if (!options.case_path) {
         std::cerr << "concat shrink: --case is required\n";
@@ -1156,60 +1180,53 @@ int cmd_shrink(const Options& options) {
 
     driver::recomplete_suite(entry.suite, *subject->completions, entry.suite.seed);
 
-    const driver::TestRunner runner(subject->component().registry(),
-                                    subject->runner);
-    const reflect::ClassBinding& binding =
-        subject->component().registry().at(class_name);
-    const fuzz::CaseRunner case_runner =
-        [&](const driver::TestCase& tc) -> driver::TestResult {
-        return with_mutant(*mutant, [&] { return runner.run_case(binding, tc); });
-    };
-
-    const driver::TestResult observed = case_runner(entry.reproducer());
-    if (observed.verdict != entry.verdict) {
-        std::cerr << "concat shrink: replay verdict "
-                  << driver::to_string(observed.verdict)
-                  << " does not match recorded "
-                  << driver::to_string(entry.verdict) << "\n";
+    const tspec::ComponentSpec& spec = subject->component().spec();
+    kill::KillContext context;
+    context.spec = &spec;
+    context.registry = &subject->component().registry();
+    context.completions = subject->completions;
+    kill::KillOptions shrink;
+    shrink.search.runner = subject->runner;
+    shrink.search.runner.model = model::binding_for(class_name);
+    shrink.corpus_dir = options.corpus_dir.value_or("");
+    shrink.max_shrink_steps = options.max_shrink_steps;
+    shrink.obs = options.obs;
+    if (!kill::replay_rule(context, shrink.search.runner, *mutant,
+                           entry)(entry.reproducer())) {
+        std::cerr << "concat shrink: the entry no longer replays (recorded "
+                  << driver::to_string(entry.verdict);
+        if (!entry.kill_reason.empty()) {
+            std::cerr << ", kill reason " << entry.kill_reason;
+        }
+        std::cerr << ")\n";
         return 1;
     }
 
-    const tspec::ComponentSpec& spec = subject->component().spec();
-    const tfm::Graph graph = spec.build_tfm();
-    fuzz::ShrinkOptions shrink_options;
-    shrink_options.max_steps = options.max_shrink_steps;
-    shrink_options.obs = options.obs;
-    const fuzz::Predicate still_fails = [&](const driver::TestCase& tc) {
-        return case_runner(tc).verdict == entry.verdict;
-    };
-    const fuzz::ShrinkResult shrunk = fuzz::shrink_case(
-        spec, graph, entry.reproducer(), still_fails, shrink_options);
+    const std::size_t calls = entry.reproducer().calls.size();
+    const std::uint64_t seed = entry.suite.seed;
+    const kill::Reproduction shrunk = kill::reproduce(
+        context, shrink, spec.build_tfm(), *mutant, std::move(entry), seed);
 
-    std::cerr << "shrink: " << class_name << "  "
-              << entry.reproducer().calls.size() << " -> "
-              << shrunk.minimized.calls.size() << " call(s), " << shrunk.steps
-              << " step(s), " << shrunk.sequence_removals << " removal(s), "
-              << shrunk.value_reductions << " value reduction(s)\n";
+    std::cerr << "shrink: " << class_name << "  " << calls << " -> "
+              << shrunk.shrink.minimized.calls.size() << " call(s), "
+              << shrunk.shrink.steps << " step(s), "
+              << shrunk.shrink.sequence_removals << " removal(s), "
+              << shrunk.shrink.value_reductions << " value reduction(s)\n";
 
-    fuzz::CorpusEntry minimized = entry;
-    minimized.suite.cases = {shrunk.minimized};
     if (options.corpus_dir) {
-        const auto outcome =
-            fuzz::persist_entry(*options.corpus_dir, minimized, subject->completions,
-                                case_runner, entry.suite.seed);
-        if (!outcome.reproducible) {
+        if (shrunk.path.empty()) {
             std::cerr << "concat shrink: minimized entry did not replay after "
                          "persistence round-trip\n";
             return 1;
         }
-        std::cout << "wrote " << outcome.path << "\n";
+        std::cout << "wrote " << shrunk.path << "\n";
         // Corpus filenames are content-hashed, so a shrink that changed
         // the case lands under a new name; drop the superseded input
         // entry rather than accumulating duplicate reproducers for the
         // same finding.
         std::error_code ec;
         const bool same =
-            std::filesystem::equivalent(*options.case_path, outcome.path, ec);
+            std::filesystem::equivalent(*options.case_path, shrunk.path, ec);
         if (!ec && !same) {
             if (std::filesystem::remove(*options.case_path, ec) && !ec) {
                 std::cerr << "removed superseded " << *options.case_path << "\n";
@@ -1218,7 +1235,7 @@ int cmd_shrink(const Options& options) {
         return 0;
     }
     std::ostringstream out;
-    fuzz::save_entry(out, minimized);
+    fuzz::save_entry(out, shrunk.entry);
     return emit(options, out.str());
 }
 
